@@ -3,10 +3,10 @@
 from . import errors, granular, metrics, model_io, neural, scoring, trainer, tsdata
 from .errors import GbocError
 from .granular import GbSet, GranularBall, coverage_rate, dm, generate, nearest_center, prune, try_split
-from .metrics import EvalScores, affiliation_f1, evaluate, tolerant_pr, vus_pr, vus_roc
+from .metrics import EvalScores, affiliation_f1, evaluate, vus_pr, vus_roc
 from .model_io import load_model, save_model
 from .scoring import AnomalyReport, detect, score_windows, threshold_3sigma, windows_to_points
-from .trainer import EpochReport, GbocModel, TrainConfig, compute_lgb, compute_lrec, train
+from .trainer import EpochReport, GbocModel, TrainConfig, train
 from .tsdata import (
     NormStats,
     SynthParams,
@@ -36,8 +36,6 @@ __all__ = [
     "WindowSet",
     "affiliation_f1",
     "apply_normalizer",
-    "compute_lgb",
-    "compute_lrec",
     "coverage_rate",
     "detect",
     "dm",
@@ -59,7 +57,6 @@ __all__ = [
     "scoring",
     "synth_scenario",
     "threshold_3sigma",
-    "tolerant_pr",
     "train",
     "trainer",
     "try_split",

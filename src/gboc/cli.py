@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, scoring, tsdata
-from .errors import GbocError, ParseError
+from .errors import GbocError, MissingFile, ModelMismatch, ParseError
 from .model_io import load_model, save_model
 from .trainer import TrainConfig, train
 
@@ -154,14 +154,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_for_model(path: str, label_col: str | None, n_channels: int) -> tsdata.TimeSeries:
+    ts = tsdata.load_csv(path, label_column=label_col)
+    if ts.d != n_channels:
+        hint = "; if one of them holds labels, name it with --label-col" if label_col is None else ""
+        raise ModelMismatch(f"model expects {n_channels} channel(s), {path} has {ts.channel_names}{hint}")
+    return ts
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
+    if args.threshold_fit == "validation" and not args.val_csv:
+        raise ParseError("--threshold-fit validation requires --val-csv")
     model = load_model(args.model)
-    ts = tsdata.load_csv(args.test_csv, label_column=args.label_col)
+    ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
     threshold_scores = None
     if args.threshold_fit == "validation":
-        if not args.val_csv:
-            raise ParseError("--threshold-fit validation requires --val-csv")
-        val_ts = tsdata.load_csv(args.val_csv, label_column=args.label_col)
+        val_ts = _load_for_model(args.val_csv, args.label_col, model.encoder.input_size)
         threshold_scores = scoring.detect(model, val_ts).point_scores
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)
     with open(args.out, "w", newline="") as fh:
@@ -185,7 +193,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_cell(row: list[str], rnum: int, header: list[str], i: int, parse):
+    try:
+        return parse(row[i])
+    except (IndexError, ValueError):
+        found = repr(row[i]) if i < len(row) else "nothing (short row)"
+        msg = f"report row {rnum}, column {header[i]!r}: cannot read {found}"
+        raise ParseError(msg, row=rnum, col=header[i]) from None
+
+
 def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if not Path(path).is_file():
+        raise MissingFile(f"no such report file: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -200,10 +219,10 @@ def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if i_label is None:
             raise ParseError("report has no label column; rerun detect with --label-col")
         scores, flags, labels = [], [], []
-        for row in reader:
-            scores.append(float(row[i_score]))
-            flags.append(int(row[i_flag]))
-            labels.append(int(row[i_label]))
+        for rnum, row in enumerate(reader, start=1):
+            scores.append(_report_cell(row, rnum, header, i_score, float))
+            flags.append(_report_cell(row, rnum, header, i_flag, int))
+            labels.append(_report_cell(row, rnum, header, i_label, int))
     return np.array(scores), np.array(flags, dtype=np.int64), np.array(labels, dtype=np.int64)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,9 +161,6 @@ class GbSet:
 
     balls: list[GranularBall]
     pruned: bool = False
-    s_min: int = 8
-    mu: float = 2.0
-    require_child_support: bool = field(default=True, repr=False)
 
     @property
     def centers(self) -> np.ndarray:
@@ -176,6 +173,24 @@ class GbSet:
         return np.array([b.radius for b in self.balls])
 
 
+def kmeans_balls(latents: np.ndarray, seed: int) -> tuple[list[GranularBall], np.random.Generator]:
+    """One ball per non-empty cluster of a seeded floor(sqrt(N))-means over N
+    latents, plus the generator after its k-means draws: generate's split
+    sweep continues that stream."""
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim != 2 or latents.shape[0] < 1:
+        raise EmptySet("need at least one latent vector")
+    rng = np.random.default_rng([seed, 0x6B])
+    k = max(1, math.isqrt(latents.shape[0]))
+    _, assign = kmeans(latents, k, rng)
+    balls = [
+        GranularBall.from_members(latents, np.where(assign == c)[0])
+        for c in range(k)
+        if np.any(assign == c)
+    ]
+    return balls, rng
+
+
 def generate(
     latents: np.ndarray,
     s_min: int = 8,
@@ -184,23 +199,13 @@ def generate(
 ) -> GbSet:
     """Build the unpruned ball set over N latent vectors.
 
-    Starts from floor(sqrt(N)) k-means clusters, then sweeps the balls in
-    stable index order applying try_split; an accepted split replaces the
-    parent in place and appends the second child. Stops when a full sweep
-    produces no split.
+    Starts from the kmeans_balls clusters, then sweeps the balls in stable
+    index order applying try_split; an accepted split replaces the parent in
+    place and appends the second child. Stops when a full sweep produces no
+    split.
     """
     latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[0] < 1:
-        raise EmptySet("need at least one latent vector")
-    n = latents.shape[0]
-    rng = np.random.default_rng([seed, 0x6B])
-    k0 = max(1, math.isqrt(n))
-    _, assign = kmeans(latents, k0, rng)
-    balls = [
-        GranularBall.from_members(latents, np.where(assign == c)[0])
-        for c in range(k0)
-        if np.any(assign == c)
-    ]
+    balls, rng = kmeans_balls(latents, seed)
     while True:
         split_happened = False
         for j in range(len(balls)):
@@ -213,7 +218,7 @@ def generate(
                 split_happened = True
         if not split_happened:
             break
-    return GbSet(balls=balls, pruned=False, s_min=s_min, require_child_support=require_child_support)
+    return GbSet(balls=balls)
 
 
 def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
@@ -233,17 +238,13 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     if not kept:
         warnings.warn("radius threshold would prune every ball; keeping the tightest one")
         kept = [gb_set.balls[int(np.argmin(radii))]]
-    return replace(gb_set, balls=kept, pruned=True, mu=mu)
+    return replace(gb_set, balls=kept, pruned=True)
 
 
 def nearest_center(centers: np.ndarray, z: np.ndarray) -> tuple[int, float]:
     """Index of and Euclidean distance to the closest center (ties -> lowest index)."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] == 0:
-        raise EmptySet("no centers to search")
-    d2 = np.sum((centers - z) ** 2, axis=1)
-    idx = int(np.argmin(d2))
-    return idx, float(np.sqrt(d2[idx]))
+    idx, dists = nearest_centers(centers, np.asarray(z)[None])
+    return int(idx[0]), float(dists[0])
 
 
 def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,23 +255,6 @@ def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.
     d2 = _sq_dists(np.asarray(Z, dtype=np.float64), centers)
     idx = np.argmin(d2, axis=1)
     return idx, np.sqrt(d2[np.arange(Z.shape[0]), idx])
-
-
-def dump_balls_csv(gb_set: GbSet, path) -> None:
-    """Write one row per ball: center coordinates, radius, member count."""
-    import csv
-
-    if not gb_set.balls:
-        raise EmptySet("ball set is empty")
-    d_lat = gb_set.balls[0].center.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{i}" for i in range(d_lat)] + ["radius", "member_count"])
-        for ball in gb_set.balls:
-            writer.writerow(
-                [format(v, ".17g") for v in ball.center]
-                + [format(ball.radius, ".17g"), ball.size]
-            )
 
 
 def coverage_rate(latents: np.ndarray, centers: np.ndarray) -> float:

@@ -6,6 +6,17 @@ distinct value, build the tolerant PR / ROC curves, integrate them with the
 trapezoid rule, and average areas over a tolerance grid. The affiliation
 score softly matches predicted timestamps to ground-truth intervals through
 a Gaussian kernel and is NaN when there is nothing to match.
+
+Neither is the published metric of the same name, so the numbers are not
+comparable with reported ones. VUS (Paparrizos et al., PVLDB 2022) gives
+anomaly ranges soft sqrt-shaped label buffers, uses range-based recall and
+integrates over a continuum of buffer lengths; here labels are dilated by a
+hard +-delta window, recall is min(credited predictions, anomalies) /
+anomalies, and areas are averaged over a finite delta set. Affiliation (Huet
+et al., KDD 2022) scores each ground-truth event in its own zone against a
+uniformly random prediction, so chance scores about 0.5; here a fixed-sigma
+Gaussian kernel exp(-d^2 / 2 sigma^2) is averaged over all predicted and all
+anomalous timestamps at once, so the value depends on sigma.
 """
 from __future__ import annotations
 
@@ -45,82 +56,53 @@ def _tolerant_mask(labels: np.ndarray, delta: int) -> np.ndarray:
     """True at timesteps within delta of some anomaly timestep."""
     if delta == 0:
         return labels.astype(bool)
-    return np.convolve(labels.astype(np.float64), np.ones(2 * delta + 1), mode="same") > 0
+    # "full" then centre-slice: mode="same" returns the kernel's length, not T, when T < 2 * delta + 1
+    return np.convolve(labels.astype(np.float64), np.ones(2 * delta + 1))[delta : delta + labels.size] > 0
 
 
-def tolerant_counts(
-    scores: np.ndarray, labels: np.ndarray, delta: int, tau: float
-) -> tuple[int, int, int]:
-    """Raw (tp, n_predicted, n_anomalies) at one threshold; tp is unclamped."""
-    scores, labels = _check_series(scores, labels)
-    matched = _tolerant_mask(labels, delta)
-    pred = scores > tau
-    return int(np.sum(pred & matched)), int(pred.sum()), int(labels.sum())
+def _delta_areas(scores: np.ndarray, labels: np.ndarray, delta_set) -> list[tuple[float, float]]:
+    """(PR area, ROC area) for each delta, sweeping {t: score >= tau} over every
+    distinct score (ties grouped) from one descending sort of the scores.
 
-
-def tolerant_pr(
-    scores: np.ndarray, labels: np.ndarray, delta: int, tau: float
-) -> tuple[float, float]:
-    """Precision/recall with predictions {t: score > tau} credited within delta.
-
-    Precision is NaN when nothing is predicted; recall clamps the credited
-    count to the number of anomalies so it stays within [0, 1].
-    """
-    tp, n_pred, n_anom = tolerant_counts(scores, labels, delta, tau)
-    if n_anom == 0:
-        raise NoAnomalies("labels contain no anomaly")
-    precision = tp / n_pred if n_pred > 0 else float("nan")
-    recall = min(tp, n_anom) / n_anom
-    return precision, recall
-
-
-def _threshold_sweep(scores: np.ndarray, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Credited and total prediction counts for {t: score >= tau} at every
-    distinct threshold, descending (ties grouped)."""
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    tp_cum = np.cumsum(matched[order].astype(np.float64))
-    group_ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
-    return tp_cum[group_ends], group_ends + 1.0
-
-
-def vus_pr(scores: np.ndarray, labels: np.ndarray, delta_set=DEFAULT_DELTA_SET) -> float:
-    """Tolerant area under the precision-recall curve, averaged over deltas.
-
-    The empty-prediction end of the sweep carries the smallest-recall point's
-    precision down to recall zero.
+    The PR curve carries its smallest-recall precision down to recall zero;
+    the ROC curve is closed at (0, 0) and (1, 1), and is NaN with no normal point.
     """
     scores, labels = _check_series(scores, labels)
     n_anom = int(labels.sum())
+    n_norm = labels.size - n_anom
     if n_anom == 0:
         raise NoAnomalies("labels contain no anomaly")
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    group_ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
+    n_pred = group_ends + 1.0
     areas = []
     for delta in delta_set:
-        tp, n_pred = _threshold_sweep(scores, _tolerant_mask(labels, delta))
+        tp = np.cumsum(_tolerant_mask(labels, delta)[order].astype(np.float64))[group_ends]
         precision = tp / n_pred
         recall = np.minimum(tp, n_anom) / n_anom
-        recall = np.concatenate([[0.0], recall])
-        precision = np.concatenate([[precision[0]], precision])
-        areas.append(float(np.trapezoid(precision, recall)))
-    return float(np.mean(areas))
+        pr_precision = np.concatenate([[precision[0]], precision])
+        auc_pr = float(np.trapezoid(pr_precision, np.concatenate([[0.0], recall])))
+        auc_roc = float("nan")
+        if n_norm > 0:
+            tpr = np.concatenate([[0.0], recall, [1.0]])
+            fpr = np.concatenate([[0.0], (n_pred - tp) / n_norm, [1.0]])
+            auc_roc = float(np.trapezoid(tpr, fpr))
+        areas.append((auc_pr, auc_roc))
+    return areas
+
+
+def vus_pr(scores: np.ndarray, labels: np.ndarray, delta_set=DEFAULT_DELTA_SET) -> float:
+    """Tolerant area under the precision-recall curve, averaged over deltas."""
+    return float(np.mean([pr for pr, _ in _delta_areas(scores, labels, delta_set)]))
 
 
 def vus_roc(scores: np.ndarray, labels: np.ndarray, delta_set=DEFAULT_DELTA_SET) -> float:
     """Tolerant area under the ROC curve, averaged over deltas."""
     scores, labels = _check_series(scores, labels)
-    n_anom = int(labels.sum())
-    n_norm = labels.size - n_anom
-    if n_anom == 0 or n_norm == 0:
+    if labels.sum() in (0, labels.size):
         raise DegenerateLabels("need at least one anomaly and one normal point")
-    areas = []
-    for delta in delta_set:
-        tp, n_pred = _threshold_sweep(scores, _tolerant_mask(labels, delta))
-        tpr = np.minimum(tp, n_anom) / n_anom
-        fpr = (n_pred - tp) / n_norm
-        tpr = np.concatenate([[0.0], tpr, [1.0]])
-        fpr = np.concatenate([[0.0], fpr, [1.0]])
-        areas.append(float(np.trapezoid(tpr, fpr)))
-    return float(np.mean(areas))
+    return float(np.mean([roc for _, roc in _delta_areas(scores, labels, delta_set)]))
 
 
 def label_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
@@ -176,22 +158,20 @@ def evaluate(
     flags: np.ndarray,
     labels: np.ndarray,
     delta_set=DEFAULT_DELTA_SET,
-    sigma: float = 5.0,
+    *,
+    sigma: float,
 ) -> EvalScores:
-    """All three metrics plus the per-delta breakdown, as the eval command reports them."""
-    scores, labels = _check_series(point_scores, labels)
-    rows = []
-    for delta in delta_set:
-        rows.append(
-            DeltaRow(
-                delta=int(delta),
-                auc_pr=vus_pr(scores, labels, delta_set=(delta,)),
-                auc_roc=vus_roc(scores, labels, delta_set=(delta,)),
-            )
-        )
+    """All three metrics plus the per-delta breakdown, as the eval command
+    reports them; sigma is the affiliation kernel bandwidth."""
+    areas = _delta_areas(point_scores, labels, delta_set)
+    if np.all(labels):
+        raise DegenerateLabels("need at least one anomaly and one normal point")
+    rows = tuple(
+        DeltaRow(delta=int(delta), auc_pr=pr, auc_roc=roc) for delta, (pr, roc) in zip(delta_set, areas)
+    )
     return EvalScores(
         vus_pr=float(np.mean([r.auc_pr for r in rows])),
         vus_roc=float(np.mean([r.auc_roc for r in rows])),
         affiliation_f1=affiliation_f1(flags, label_intervals(labels), sigma),
-        per_delta=tuple(rows),
+        per_delta=rows,
     )

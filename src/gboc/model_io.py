@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, InvariantViolation, TruncatedFile, VersionUnsupported
+from .errors import BadMagic, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
 from .neural import DecoderParams, EncoderParams, LstmLayer
 from .trainer import GbocModel, TrainConfig
 from .tsdata import NormStats
@@ -81,9 +81,9 @@ def _dump(model: GbocModel) -> bytes:
     w.parts.append(MAGIC)
     w.u32(FORMAT_VERSION)
     enc = model.encoder
-    w.u32(model.window)
-    w.u32(model.stride)
-    w.u32(model.n_channels)
+    w.u32(model.config.window)
+    w.u32(model.config.stride)
+    w.u32(enc.input_size)
     w.u32(enc.num_layers)
     w.u32(enc.hidden_size)
     w.u32(enc.latent_size)
@@ -174,10 +174,6 @@ def _parse(buf: bytes) -> GbocModel:
     )
     r.done()
     model = GbocModel(
-        version=version,
-        window=window,
-        stride=stride,
-        n_channels=d,
         encoder=EncoderParams(input_size=d, hidden_size=hidden, layers=enc_layers),
         decoder=dec,
         norm=NormStats(mean=mean, std=std),
@@ -213,4 +209,6 @@ def save_model(model: GbocModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GbocModel:
+    if not Path(path).is_file():
+        raise MissingFile(f"no such model file: {path}")
     return _parse(Path(path).read_bytes())

@@ -157,26 +157,11 @@ def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
     return z
 
 
-def encode(enc: EncoderParams, window: np.ndarray) -> np.ndarray:
-    """Latent vector for a single w x d window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ShapeMismatch(f"window must be 2-D (w, d), got shape {window.shape}")
-    return encode_batch(enc, window[None])[0]
-
-
 def decode_batch(dec: DecoderParams, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.shape[1] != dec.latent_size:
         raise ShapeMismatch(f"latent size {Z.shape[1]} does not match decoder ({dec.latent_size})")
     return np.tanh(Z @ dec.W1.T + dec.b1) @ dec.W2.T + dec.b2
-
-
-def decode(dec: DecoderParams, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeMismatch(f"latent must be 1-D, got shape {z.shape}")
-    return decode_batch(dec, z[None])[0]
 
 
 def _backward_encoder(

@@ -21,10 +21,10 @@ class AnomalyReport:
 
 def score_windows(model: GbocModel, ws: tsdata.WindowSet) -> np.ndarray:
     """Distance from each window's latent to the nearest retained center."""
-    if ws.window_len != model.window or ws.n_channels != model.n_channels:
+    if ws.window_len != model.config.window or ws.n_channels != model.encoder.input_size:
         raise ModelMismatch(
             f"windows are ({ws.window_len} x {ws.n_channels}), model expects "
-            f"({model.window} x {model.n_channels})"
+            f"({model.config.window} x {model.encoder.input_size})"
         )
     latents = neural.encode_batch(model.encoder, ws.as_sequences())
     _, dists = granular.nearest_centers(model.centers, latents)
@@ -76,9 +76,9 @@ def detect(
     series) are supplied.
     """
     norm_ts = tsdata.apply_normalizer(test_ts, model.norm)
-    ws = tsdata.make_windows(norm_ts, model.window, model.stride)
+    ws = tsdata.make_windows(norm_ts, model.config.window, model.config.stride)
     wscores = score_windows(model, ws)
-    pscores = windows_to_points(wscores, ws.starts, model.window, test_ts.T)
+    pscores = windows_to_points(wscores, ws.starts, model.config.window, test_ts.T)
     fit_on = pscores if threshold_scores is None else np.asarray(threshold_scores, dtype=np.float64)
     threshold, _ = threshold_3sigma(fit_on)
     flags = (pscores > threshold).astype(np.int64)

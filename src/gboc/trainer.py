@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import granular, neural, tsdata
-from .errors import BadParams, EmptySet, NonFiniteGradient, NonFiniteLoss, ShapeMismatch
+from .errors import BadParams, NonFiniteGradient, NonFiniteLoss
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,12 @@ class TrainConfig:
             raise BadParams("batch_size, epochs and rebuild_every must be >= 1")
         if self.layers not in (1, 2, 3):
             raise BadParams(f"layers must be 1, 2 or 3, got {self.layers}")
-        if self.window < 1 or self.stride < 1 or self.hidden < 1:
-            raise BadParams("window, stride and hidden must be positive")
+        if min(self.window, self.stride, self.hidden, self.decoder_hidden, self.s_min) < 1:
+            raise BadParams("window, stride, hidden, decoder_hidden and s_min must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise BadParams(f"seed must be in [0, 2**64), got {self.seed}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.lr, self.mu)):
+            raise BadParams(f"lr and mu must be finite and positive, got {self.lr} and {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -65,38 +69,12 @@ class GbocModel:
     """Everything inference needs: encoder/decoder weights, retained centers
     and radii, normalization stats, and the config that produced them."""
 
-    version: int
-    window: int
-    stride: int
-    n_channels: int
     encoder: neural.EncoderParams
     decoder: neural.DecoderParams
     norm: tsdata.NormStats
     centers: np.ndarray  # (M, d')
     radii: np.ndarray  # (M,)
     config: TrainConfig
-
-    @property
-    def latent_size(self) -> int:
-        return self.encoder.latent_size
-
-
-def compute_lgb(latents_batch: np.ndarray, gb_set: granular.GbSet) -> float:
-    """Mean squared distance from each latent to its nearest retained center."""
-    if not gb_set.balls:
-        raise EmptySet("ball set is empty")
-    _, dists = granular.nearest_centers(gb_set.centers, latents_batch)
-    return float(np.mean(dists * dists))
-
-
-def compute_lrec(windows_batch: np.ndarray, reconstructions: np.ndarray) -> float:
-    """Mean squared Euclidean norm of the reconstruction residuals."""
-    W = np.asarray(windows_batch, dtype=np.float64)
-    R = np.asarray(reconstructions, dtype=np.float64)
-    if W.shape != R.shape:
-        raise ShapeMismatch(f"windows {W.shape} vs reconstructions {R.shape}")
-    resid = W - R
-    return float(np.sum(resid * resid) / W.shape[0])
 
 
 def _ball_seed(seed: int, epoch: int) -> int:
@@ -108,18 +86,10 @@ def _build_balls(
 ) -> tuple[granular.GbSet, granular.GbSet, int, int]:
     """Rebuild balls for one epoch; returns (training_set, shipped_set,
     count_before, count_after)."""
-    n = latents.shape[0]
     if cfg.gbc_off:
         # ablation: plain k-means clusters stand in for granular-balls
-        rng = np.random.default_rng([_ball_seed(cfg.seed, epoch), 0x6B])
-        k = max(1, math.isqrt(n))
-        _, assign = granular.kmeans(latents, k, rng)
-        balls = [
-            granular.GranularBall.from_members(latents, np.where(assign == c)[0])
-            for c in range(k)
-            if np.any(assign == c)
-        ]
-        gset = granular.GbSet(balls=balls, pruned=False, s_min=cfg.s_min, mu=cfg.mu)
+        balls, _ = granular.kmeans_balls(latents, _ball_seed(cfg.seed, epoch))
+        gset = granular.GbSet(balls=balls)
         return gset, gset, len(balls), len(balls)
     unpruned = granular.generate(
         latents, s_min=cfg.s_min, seed=_ball_seed(cfg.seed, epoch),
@@ -203,10 +173,6 @@ def train(
         raise NonFiniteLoss("non-finite latents after final epoch; training diverged")
     _, shipped, _, _ = _build_balls(final_latents, cfg, cfg.epochs + 1)
     model = GbocModel(
-        version=1,
-        window=cfg.window,
-        stride=cfg.stride,
-        n_channels=train_ts.d,
         encoder=enc,
         decoder=dec,
         norm=stats,

@@ -191,16 +191,6 @@ def make_windows(ts: TimeSeries, w: int, stride: int = 1) -> WindowSet:
     return WindowSet(windows=windows, starts=starts, window_len=w, stride=stride, n_channels=ts.d)
 
 
-def window_labels(ts: TimeSeries, ws: WindowSet) -> np.ndarray:
-    """Window label = 1 iff any covered timestep is labeled 1."""
-    if ts.labels is None:
-        raise BadParams("series has no labels")
-    out = np.zeros(ws.n_windows, dtype=np.int64)
-    for k, s in enumerate(ws.starts):
-        out[k] = 1 if ts.labels[s : s + ws.window_len].any() else 0
-    return out
-
-
 @dataclass(frozen=True)
 class SynthParams:
     """Knobs for the scenario generator; magnitudes must be positive."""

@@ -124,6 +124,82 @@ class TestErrors:
         assert rc == 1
         assert "label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_row, column",
+        [("1,abc,0,0", "point_score"), ("1,0.2,0", "label"), ("1,0.2,yes,0", "flag")],
+        ids=["non_numeric_score", "short_row", "non_integer_flag"],
+    )
+    def test_eval_malformed_report_names_row_and_column(self, tmp_path, capsys, bad_row, column):
+        report = tmp_path / "report.csv"
+        report.write_text(f"t,point_score,flag,label\n0,0.5,0,1\n{bad_row}\n")
+        assert cli.main(["eval", "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"row 2, column '{column}'" in err
+
+    def test_eval_missing_report(self, tmp_path, capsys):
+        assert cli.main(["eval", "--report", str(tmp_path / "absent.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_detect_missing_model(self, small_pipeline, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "detect",
+                "--test-csv", str(small_pipeline["data"] / "test.csv"),
+                "--label-col", "label",
+                "--model", str(tmp_path / "absent.gboc"),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_detect_undeclared_label_column_is_named(self, small_pipeline, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "detect",
+                "--test-csv", str(small_pipeline["data"] / "test.csv"),
+                "--model", str(small_pipeline["model"]),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'label'" in err and "--label-col" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--smin", "-3"),
+            ("--smin", "0"),
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+            ("--decoder-hidden", "0"),
+            ("--mu", "-1"),
+            ("--mu", "nan"),
+            ("--lr", "0"),
+            ("--lr", "inf"),
+        ],
+    )
+    def test_bad_train_config_rejected_before_training(self, small_pipeline, tmp_path, capsys, flag, value):
+        model = tmp_path / "m.gboc"
+        rc = cli.main(
+            [
+                "train",
+                "--train-csv", str(small_pipeline["data"] / "train.csv"),
+                "--label-col", "label",
+                "--model", str(model),
+                "--epochs", "1",
+                flag, value,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")  # no per-epoch progress line came first
+        assert not model.exists()
+
 
 class TestSynth:
     def test_writes_both_files_with_labels(self, tmp_path, capsys):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,16 +225,3 @@ class TestCoverage:
         gset = granular.prune(granular.generate(pts, s_min=8, seed=31))
         assert len(gset.balls) <= 256 // 4
 
-
-class TestDump:
-    def test_csv_columns(self, tmp_path):
-        rng = np.random.default_rng(41)
-        pts = rng.normal(size=(30, 2))
-        gset = granular.generate(pts, s_min=8, seed=41)
-        out = tmp_path / "balls.csv"
-        granular.dump_balls_csv(gset, out)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["c0", "c1", "radius", "member_count"]
-        assert len(rows) - 1 == len(gset.balls)
-        assert sum(int(r[-1]) for r in rows[1:]) == 30

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gboc import metrics
@@ -15,36 +15,33 @@ def perfect_fixture(T=50, anomalies=(10, 30)):
 
 
 class TestTolerantPr:
+    """The +-delta crediting rule, seen through single-delta PR areas."""
+
     def test_perfect_scores(self):
         scores, labels = perfect_fixture()
-        p, r = metrics.tolerant_pr(scores, labels, 0, 0.5)
-        assert p == 1.0 and r == 1.0
+        assert metrics.vus_pr(scores, labels, delta_set=(0,)) == 1.0
 
     def test_shifted_by_exactly_delta(self):
         labels = np.zeros(30, dtype=np.int64)
         labels[[10, 20]] = 1
         scores = np.zeros(30)
         scores[[12, 22]] = 1.0
-        assert metrics.tolerant_pr(scores, labels, 2, 0.5) == (1.0, 1.0)
-        assert metrics.tolerant_pr(scores, labels, 1, 0.5) == (0.0, 0.0)
+        assert metrics.vus_pr(scores, labels, delta_set=(2,)) == 1.0
+        # at delta 1 the two top-scored points earn no credit: the curve starts
+        # at recall 0 and only the all-predicted point (6 credited of 30) adds area
+        assert metrics.vus_pr(scores, labels, delta_set=(1,)) == pytest.approx(0.5 * 6 / 30, abs=1e-15)
 
     def test_multi_match_clamped(self):
+        # two predictions credited by one anomaly: recall clamps at 1, precision stays 1
         scores = np.zeros(10)
         scores[[3, 7]] = 1.0
         labels = np.zeros(10, dtype=np.int64)
         labels[5] = 1
-        p, r = metrics.tolerant_pr(scores, labels, 2, 0.5)
-        assert p == 1.0 and r == 1.0
-        assert metrics.tolerant_counts(scores, labels, 2, 0.5) == (2, 2, 1)
-
-    def test_no_predictions_gives_nan_precision(self):
-        scores, labels = perfect_fixture()
-        p, r = metrics.tolerant_pr(scores, labels, 0, 10.0)
-        assert np.isnan(p) and r == 0.0
+        assert metrics.vus_pr(scores, labels, delta_set=(2,)) == 1.0
 
     def test_no_anomalies_rejected(self):
         with pytest.raises(NoAnomalies):
-            metrics.tolerant_pr(np.zeros(5), np.zeros(5, dtype=np.int64), 0, 0.5)
+            metrics.vus_pr(np.zeros(5), np.zeros(5, dtype=np.int64), delta_set=(0,))
 
 
 class TestVusPr:
@@ -62,6 +59,11 @@ class TestVusPr:
             assert metrics.vus_pr(scores, labels, dset) == pytest.approx(
                 brute_force_vus_pr(scores, labels, dset), abs=1e-12
             )
+
+    def test_series_shorter_than_tolerance_window(self):
+        # T=2 < 2*delta+1: both points lie within delta of the anomaly
+        scores, labels = np.zeros(2), np.array([0, 1])
+        assert metrics.vus_pr(scores, labels, (1,)) == brute_force_vus_pr(scores, labels, (1,)) == 1.0
 
     def test_random_scores_near_anomaly_rate(self):
         rng = np.random.default_rng(11)
@@ -206,3 +208,28 @@ class TestEvaluate:
         assert result.vus_pr == pytest.approx(np.mean([r.auc_pr for r in result.per_delta]))
         assert result.vus_roc == pytest.approx(np.mean([r.auc_roc for r in result.per_delta]))
         assert len(result.per_delta) == 3
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_sweep_matches_single_delta_and_brute_force(self, data):
+        n = data.draw(st.integers(2, 40))
+        # scores on a coarse grid, so thresholds tie often
+        scores = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))) / 4.0
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        assume(0 < labels.sum() < n)
+        delta_set = tuple(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=5)))
+        result = metrics.evaluate(scores, labels, labels, delta_set=delta_set, sigma=1.0)
+        assert [r.delta for r in result.per_delta] == list(delta_set)
+        for row in result.per_delta:
+            single = (row.delta,)
+            assert row.auc_pr == metrics.vus_pr(scores, labels, single)
+            assert row.auc_roc == metrics.vus_roc(scores, labels, single)
+            assert abs(row.auc_pr - brute_force_vus_pr(scores, labels, single)) <= 1e-12
+            assert abs(row.auc_roc - brute_force_vus_roc(scores, labels, single)) <= 1e-12
+
+    def test_no_anomalies_reported_before_degenerate_labels(self):
+        scores = np.linspace(0.0, 1.0, 6)
+        with pytest.raises(NoAnomalies):
+            metrics.evaluate(scores, np.zeros(6), np.zeros(6, dtype=np.int64), sigma=1.0)
+        with pytest.raises(DegenerateLabels):
+            metrics.evaluate(scores, np.ones(6), np.ones(6, dtype=np.int64), sigma=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gboc import model_io, neural, trainer, tsdata
-from gboc.errors import BadMagic, InvariantViolation, TruncatedFile, VersionUnsupported
+from gboc.errors import BadMagic, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
 
 
 def random_model(seed: int) -> trainer.GbocModel:
@@ -35,10 +35,6 @@ def random_model(seed: int) -> trainer.GbocModel:
         assign_unpruned=bool(rng.integers(0, 2)),
     )
     return trainer.GbocModel(
-        version=1,
-        window=w,
-        stride=cfg.stride,
-        n_channels=d,
         encoder=enc,
         decoder=dec,
         norm=tsdata.NormStats(mean=rng.normal(size=d), std=np.abs(rng.normal(size=d)) + 0.1),
@@ -142,3 +138,7 @@ class TestRejection:
         model_io.save_model(model, p)
         with pytest.raises(InvariantViolation):
             model_io.load_model(p)
+
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(MissingFile):
+            model_io.load_model(tmp_path / "absent.gboc")

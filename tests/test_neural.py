@@ -21,11 +21,11 @@ class TestEncode:
     def test_zero_params_fixed_point(self):
         enc = zero_encoder()
         window = np.random.default_rng(1).normal(size=(5, 2))
-        assert np.array_equal(neural.encode(enc, window), np.zeros(8))
+        assert np.array_equal(neural.encode_batch(enc, window[None])[0], np.zeros(8))
 
     def test_latent_dimension(self):
         enc = neural.init_encoder(3, 32, 2, np.random.default_rng(2))
-        z = neural.encode(enc, np.zeros((4, 3)))
+        z = neural.encode_batch(enc, np.zeros((4, 3))[None])[0]
         assert z.shape == (64,)
         assert enc.latent_size == 64
 
@@ -33,7 +33,7 @@ class TestEncode:
         rng = np.random.default_rng(33)
         enc = neural.init_encoder(2, 5, 3, rng)
         window = rng.normal(size=(7, 2))
-        z = neural.encode(enc, window)
+        z = neural.encode_batch(enc, window[None])[0]
         ref = naive_encode(enc, window)
         assert np.max(np.abs(z - ref)) < 1e-12
 
@@ -41,12 +41,12 @@ class TestEncode:
         rng = np.random.default_rng(4)
         enc = neural.init_encoder(2, 6, 2, rng)
         window = rng.normal(size=(6, 2))
-        assert np.array_equal(neural.encode(enc, window), neural.encode(enc, window))
+        assert np.array_equal(neural.encode_batch(enc, window[None])[0], neural.encode_batch(enc, window[None])[0])
 
     def test_shape_mismatch(self):
         enc = neural.init_encoder(2, 4, 1, np.random.default_rng(5))
         with pytest.raises(ShapeMismatch):
-            neural.encode(enc, np.zeros((3, 5)))
+            neural.encode_batch(enc, np.zeros((3, 5))[None])
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(6)
@@ -54,7 +54,7 @@ class TestEncode:
         X = rng.normal(size=(9, 4, 3))
         Z = neural.encode_batch(enc, X)
         for i in range(9):
-            assert np.max(np.abs(Z[i] - neural.encode(enc, X[i]))) < 1e-12
+            assert np.max(np.abs(Z[i] - neural.encode_batch(enc, X[i][None])[0])) < 1e-12
 
 
 class TestDecode:
@@ -64,7 +64,7 @@ class TestDecode:
         dec.b1[:] = 0.0
         dec.W2[:] = 0.0
         dec.b2[:] = 0.0
-        assert np.array_equal(neural.decode(dec, np.ones(6)), np.zeros(4))
+        assert np.array_equal(neural.decode_batch(dec, np.ones(6)[None])[0], np.zeros(4))
 
     def test_identity_construction_gives_tanh_prefix(self):
         d_lat, out = 5, 3
@@ -75,18 +75,18 @@ class TestDecode:
             b2=np.zeros(out),
         )
         z = np.array([0.3, -0.8, 1.5, 0.0, 2.0])
-        assert np.allclose(neural.decode(dec, z), np.tanh(z)[:out], atol=1e-15)
+        assert np.allclose(neural.decode_batch(dec, z[None])[0], np.tanh(z)[:out], atol=1e-15)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(8)
         dec = neural.init_decoder(6, 10, 7, rng)
         z = rng.normal(size=6)
-        assert np.max(np.abs(neural.decode(dec, z) - naive_decode(dec, z))) < 1e-12
+        assert np.max(np.abs(neural.decode_batch(dec, z[None])[0] - naive_decode(dec, z))) < 1e-12
 
     def test_shape_mismatch(self):
         dec = neural.init_decoder(6, 4, 8, np.random.default_rng(9))
         with pytest.raises(ShapeMismatch):
-            neural.decode(dec, np.zeros(5))
+            neural.decode_batch(dec, np.zeros(5)[None])
 
 
 class TestBackward:

@@ -13,10 +13,6 @@ def make_model(seed=0, window=3, d=1, hidden=4, layers=1, centers=None) -> train
         centers = rng.normal(size=(3, layers * hidden))
     centers = np.asarray(centers, dtype=np.float64)
     return trainer.GbocModel(
-        version=1,
-        window=window,
-        stride=1,
-        n_channels=d,
         encoder=enc,
         decoder=dec,
         norm=tsdata.NormStats(mean=np.zeros(d), std=np.ones(d)),
@@ -32,7 +28,7 @@ class TestScoreWindows:
         model = make_model(seed=1)
         ts = tsdata.TimeSeries(values=rng.normal(size=(6, 1)))
         ws = tsdata.make_windows(ts, 3, 1)
-        z0 = neural.encode(model.encoder, ws.as_sequences()[0])
+        z0 = neural.encode_batch(model.encoder, ws.as_sequences()[0][None])[0]
         model.centers[0] = z0
         scores = scoring.score_windows(model, ws)
         assert scores[0] == pytest.approx(0.0, abs=1e-12)

@@ -6,12 +6,6 @@ from gboc import granular, model_io, neural, trainer, tsdata
 from gboc.errors import BadParams, EmptySet, NonFiniteLoss
 
 
-def point_ball_set(points) -> granular.GbSet:
-    pts = np.asarray(points, dtype=np.float64)
-    balls = [granular.GranularBall.from_members(pts, np.array([i])) for i in range(len(pts))]
-    return granular.GbSet(balls=balls, pruned=True)
-
-
 def tiny_series(T=160, seed=0) -> tsdata.TimeSeries:
     t = np.linspace(0, 12 * np.pi, T)
     values = np.sin(t)[:, None] + 0.05 * np.random.default_rng(seed).normal(size=(T, 1))
@@ -24,43 +18,73 @@ def tiny_config(**over) -> trainer.TrainConfig:
     return trainer.TrainConfig(**base)
 
 
+def zero_net(d_lat: int, out: int):
+    """A 1-channel encoder and a decoder whose parameters are all zero: every
+    latent and every reconstruction is exactly zero."""
+    rng = np.random.default_rng(0)
+    enc = neural.init_encoder(1, d_lat, 1, rng)
+    dec = neural.init_decoder(d_lat, out, 3, rng)
+    for a in neural.param_dict(enc, dec).values():
+        a[:] = 0.0
+    return enc, dec
+
+
+def losses(enc, dec, X, Y, centers, assignment) -> tuple[float, float]:
+    """(l_rec, l_gb) exactly as training takes them from neural.backward."""
+    _, _, l_rec, l_gb = neural.backward(enc, dec, X, Y, np.asarray(centers, dtype=np.float64), assignment, 0.5)
+    return l_rec, l_gb
+
+
 class TestLosses:
     def test_lgb_zero_at_centers(self):
-        gset = point_ball_set([[0.0, 0.0], [3.0, 4.0]])
-        latents = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
-        assert trainer.compute_lgb(latents, gset) == 0.0
+        rng = np.random.default_rng(3)
+        enc = neural.init_encoder(1, 2, 1, rng)
+        dec = neural.init_decoder(2, 3, 4, rng)
+        X = rng.normal(size=(3, 3, 1))
+        centers = neural.encode_batch(enc, X)
+        _, l_gb = losses(enc, dec, X, X.reshape(3, -1), centers, np.arange(3))
+        assert l_gb == 0.0
 
     def test_lgb_single_sample_distance_two(self):
-        gset = point_ball_set([[0.0, 0.0]])
-        assert trainer.compute_lgb(np.array([[0.0, 2.0]]), gset) == pytest.approx(4.0)
+        enc, dec = zero_net(2, 2)
+        _, l_gb = losses(enc, dec, np.ones((1, 2, 1)), np.zeros((1, 2)), [[0.0, 2.0]], np.array([0]))
+        assert l_gb == pytest.approx(4.0)
 
     def test_lgb_hand_case(self):
-        gset = point_ball_set([[0.0]])
-        latents = np.array([[1.0], [2.0], [3.0]])
-        assert trainer.compute_lgb(latents, gset) == pytest.approx(14.0 / 3.0)
+        enc, dec = zero_net(1, 2)
+        _, l_gb = losses(enc, dec, np.ones((3, 2, 1)), np.zeros((3, 2)), [[1.0], [2.0], [3.0]], np.arange(3))
+        assert l_gb == pytest.approx(14.0 / 3.0)
 
     def test_lgb_empty_set(self):
+        # training reads its alignment targets from GbSet.centers
         with pytest.raises(EmptySet):
-            trainer.compute_lgb(np.zeros((1, 2)), granular.GbSet(balls=[], pruned=True))
+            granular.GbSet(balls=[], pruned=True).centers
 
     def test_lrec_perfect(self):
-        x = np.random.default_rng(1).normal(size=(4, 6))
-        assert trainer.compute_lrec(x, x.copy()) == 0.0
+        enc, dec = zero_net(2, 6)
+        dec.b2[:] = np.random.default_rng(1).normal(size=6)
+        X, Y = np.ones((4, 6, 1)), np.tile(dec.b2, (4, 1))
+        l_rec, _ = losses(enc, dec, X, Y, np.zeros((1, 2)), np.zeros(4, dtype=np.int64))
+        assert l_rec == 0.0
 
     def test_lrec_unit_residual(self):
-        x = np.zeros((1, 5))
-        r = np.ones((1, 5))
-        assert trainer.compute_lrec(x, r) == pytest.approx(5.0)
+        enc, dec = zero_net(2, 5)
+        l_rec, _ = losses(enc, dec, np.ones((1, 5, 1)), np.ones((1, 5)), np.zeros((1, 2)), np.array([0]))
+        assert l_rec == pytest.approx(5.0)
 
     def test_lrec_matches_two_loop_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 7))
+        enc = neural.init_encoder(1, 3, 1, rng)
+        dec = neural.init_decoder(3, 7, 4, rng)
+        X = rng.normal(size=(5, 7, 1))
         r = rng.normal(size=(5, 7))
+        x = neural.decode_batch(dec, neural.encode_batch(enc, X))
         total = 0.0
         for i in range(5):
             for j in range(7):
                 total += (x[i, j] - r[i, j]) ** 2
-        assert trainer.compute_lrec(x, r) == pytest.approx(total / 5.0, rel=1e-12)
+        l_rec, _ = losses(enc, dec, X, r, np.zeros((1, 3)), np.zeros(5, dtype=np.int64))
+        assert l_rec == pytest.approx(total / 5.0, rel=1e-12)
 
 
 class TestTrain:

@@ -144,11 +144,6 @@ class TestMakeWindows:
         tiled = ws.windows.reshape(-1, d)
         assert np.array_equal(tiled, ts.values[: ws.n_windows * w])
 
-    def test_window_labels_any_rule(self):
-        ts = tsdata.TimeSeries(values=np.arange(6.0).reshape(-1, 1), labels=np.array([0, 0, 1, 0, 0, 0]))
-        ws = tsdata.make_windows(ts, 3, 1)
-        assert tsdata.window_labels(ts, ws).tolist() == [1, 1, 1, 0]
-
 
 class TestSynthScenario:
     def test_deterministic(self):
