@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    for out in (args.model, args.out):
+        if out is not None and not Path(out).parent.is_dir():
+            raise MissingFile(f"no such directory for output file: {out}")
     ts = tsdata.load_csv(args.train_csv, label_column=args.label_col)
     cfg = TrainConfig(
         window=args.window,
@@ -202,6 +206,13 @@ def _report_cell(row: list[str], rnum: int, header: list[str], i: int, parse):
         raise ParseError(msg, row=rnum, col=header[i]) from None
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not Path(path).is_file():
         raise MissingFile(f"no such report file: {path}")
@@ -220,7 +231,7 @@ def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError("report has no label column; rerun detect with --label-col")
         scores, flags, labels = [], [], []
         for rnum, row in enumerate(reader, start=1):
-            scores.append(_report_cell(row, rnum, header, i_score, float))
+            scores.append(_report_cell(row, rnum, header, i_score, _finite_float))
             flags.append(_report_cell(row, rnum, header, i_flag, int))
             labels.append(_report_cell(row, rnum, header, i_label, int))
     return np.array(scores), np.array(flags, dtype=np.int64), np.array(labels, dtype=np.int64)
@@ -282,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except GbocError as exc:
+    except (GbocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

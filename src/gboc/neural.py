@@ -16,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import granular
 from .errors import NonFiniteGradient, ShapeMismatch
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + ex), ex / (1 + ex))
 
 
 @dataclass
@@ -213,14 +210,16 @@ def backward(
     windows: np.ndarray,
     targets: np.ndarray,
     centers: np.ndarray,
-    assignment: np.ndarray,
+    assignment: np.ndarray | None,
     lam: float,
 ) -> tuple[dict[str, np.ndarray], float, float, float]:
     """Joint loss and exact gradients for one batch.
 
     The loss is lam * mean squared reconstruction error + (1 - lam) * mean
     squared distance to each sample's assigned center; centers are constants
-    (no gradient flows into them). Returns (grads, loss, rec_term, align_term).
+    (no gradient flows into them). With assignment None, each window goes to
+    its nearest center under the latents of this same forward pass. Returns
+    (grads, loss, rec_term, align_term).
     """
     if not 0.0 <= lam <= 1.0:
         raise ShapeMismatch(f"lambda must be in [0, 1], got {lam}")
@@ -231,6 +230,8 @@ def backward(
         raise ShapeMismatch(f"targets shape {Y.shape} does not match decoder output ({B}, {dec.output_size})")
 
     z, cache = _forward_encoder(enc, X, keep_cache=True)
+    if assignment is None:
+        assignment, _ = granular.nearest_centers(centers, z)
     hpre = z @ dec.W1.T + dec.b1
     hh = np.tanh(hpre)
     recon = hh @ dec.W2.T + dec.b2

@@ -1,11 +1,12 @@
-"""Training loop: per-epoch ball rebuilds in latent space plus joint-loss descent.
+"""Training loop: periodic ball rebuilds in latent space plus joint-loss descent.
 
-Each epoch (a) encodes every training window, (b) rebuilds and prunes the
-ball set over those latents, and (c) walks seeded shuffled batches
-minimizing lam * reconstruction + (1 - lam) * center alignment against the
-epoch's fixed centers, with per-batch nearest-center assignment. After the
-last epoch the balls are rebuilt from the final latents to form the shipped
-model. Fully deterministic for a fixed config and seed.
+Every rebuild_every epochs, starting with the first, the loop encodes every
+training window and rebuilds and prunes the ball set over those latents.
+Each epoch walks seeded shuffled batches minimizing lam * reconstruction +
+(1 - lam) * center alignment against the current centers; each batch's one
+forward pass yields both its nearest-center assignment and its gradients.
+After the last epoch the balls are rebuilt from the final latents to form the
+shipped model. Fully deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -48,6 +49,13 @@ class TrainConfig:
             raise BadParams(f"layers must be 1, 2 or 3, got {self.layers}")
         if min(self.window, self.stride, self.hidden, self.decoder_hidden, self.s_min) < 1:
             raise BadParams("window, stride, hidden, decoder_hidden and s_min must be >= 1")
+        u32_fields = (self.epochs, self.batch_size, self.rebuild_every, self.window, self.stride,
+                      self.hidden, self.decoder_hidden, self.s_min)
+        if max(u32_fields) >= 2**32:
+            raise BadParams(
+                "epochs, batch_size, rebuild_every, window, stride, hidden, decoder_hidden "
+                "and s_min must be < 2**32, the model file stores them as u32"
+            )
         if not 0 <= self.seed < 2**64:
             raise BadParams(f"seed must be in [0, 2**64), got {self.seed}")
         if not all(math.isfinite(v) and v > 0 for v in (self.lr, self.mu)):
@@ -82,10 +90,13 @@ def _ball_seed(seed: int, epoch: int) -> int:
 
 
 def _build_balls(
-    latents: np.ndarray, cfg: TrainConfig, epoch: int
+    enc: neural.EncoderParams, X: np.ndarray, cfg: TrainConfig, epoch: int
 ) -> tuple[granular.GbSet, granular.GbSet, int, int]:
-    """Rebuild balls for one epoch; returns (training_set, shipped_set,
-    count_before, count_after)."""
+    """Encode every training window and rebuild the balls over the latents;
+    returns (training_set, shipped_set, count_before, count_after)."""
+    latents = neural.encode_batch(enc, X)
+    if not np.all(np.isfinite(latents)):
+        raise NonFiniteLoss(f"non-finite latents at the epoch-{epoch} ball build; training diverged")
     if cfg.gbc_off:
         # ablation: plain k-means clusters stand in for granular-balls
         balls, _ = granular.kmeans_balls(latents, _ball_seed(cfg.seed, epoch))
@@ -123,28 +134,17 @@ def train(
     opt = neural.init_adam(params, lr=cfg.lr)
 
     reports: list[EpochReport] = []
-    training_set: granular.GbSet | None = None
-    before = after = 0
     for epoch in range(1, cfg.epochs + 1):
-        latents = neural.encode_batch(enc, X)
-        if not np.all(np.isfinite(latents)):
-            raise NonFiniteLoss(f"non-finite latents at epoch {epoch}; training diverged")
-        if training_set is None or (epoch - 1) % cfg.rebuild_every == 0:
-            training_set, _, before, after = _build_balls(latents, cfg, epoch)
-        centers = training_set.centers
+        if (epoch - 1) % cfg.rebuild_every == 0:
+            training_set, _, before, after = _build_balls(enc, X, cfg, epoch)
+            centers = training_set.centers
 
         order = np.random.default_rng([cfg.seed, 2, epoch]).permutation(n)
         sum_rec = sum_gb = sum_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            zb = neural.encode_batch(enc, X[idx])
-            if not np.all(np.isfinite(zb)):
-                raise NonFiniteLoss(f"non-finite latents at epoch {epoch}; training diverged")
-            assignment, _ = granular.nearest_centers(centers, zb)
             try:
-                grads, loss, l_rec, l_gb = neural.backward(
-                    enc, dec, X[idx], targets[idx], centers, assignment, cfg.lam
-                )
+                grads, loss, l_rec, l_gb = neural.backward(enc, dec, X[idx], targets[idx], centers, None, cfg.lam)
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
             neural.opt_step(opt, params, grads)
@@ -168,10 +168,7 @@ def train(
                 file=sys.stderr,
             )
 
-    final_latents = neural.encode_batch(enc, X)
-    if not np.all(np.isfinite(final_latents)):
-        raise NonFiniteLoss("non-finite latents after final epoch; training diverged")
-    _, shipped, _, _ = _build_balls(final_latents, cfg, cfg.epochs + 1)
+    _, shipped, _, _ = _build_balls(enc, X, cfg, cfg.epochs + 1)
     model = GbocModel(
         encoder=enc,
         decoder=dec,

@@ -33,6 +33,17 @@ def naive_encode(enc: neural.EncoderParams, window: np.ndarray) -> np.ndarray:
     return np.concatenate(finals)
 
 
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function with exp taken only of non-positive arguments, one
+    branch per sign, written into a preallocated buffer."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def naive_decode(dec: neural.DecoderParams, z: np.ndarray) -> np.ndarray:
     hidden = np.tanh(dec.W1 @ np.asarray(z, dtype=np.float64) + dec.b1)
     return dec.W2 @ hidden + dec.b2

@@ -126,8 +126,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "bad_row, column",
-        [("1,abc,0,0", "point_score"), ("1,0.2,0", "label"), ("1,0.2,yes,0", "flag")],
-        ids=["non_numeric_score", "short_row", "non_integer_flag"],
+        [
+            ("1,abc,0,0", "point_score"),
+            ("1,0.2,0", "label"),
+            ("1,0.2,yes,0", "flag"),
+            ("1,nan,0,0", "point_score"),
+            ("1,inf,0,0", "point_score"),
+        ],
+        ids=["non_numeric_score", "short_row", "non_integer_flag", "nan_score", "inf_score"],
     )
     def test_eval_malformed_report_names_row_and_column(self, tmp_path, capsys, bad_row, column):
         report = tmp_path / "report.csv"
@@ -181,6 +187,7 @@ class TestErrors:
             ("--mu", "nan"),
             ("--lr", "0"),
             ("--lr", "inf"),
+            ("--batch", str(2**32)),
         ],
     )
     def test_bad_train_config_rejected_before_training(self, small_pipeline, tmp_path, capsys, flag, value):
@@ -199,6 +206,39 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")  # no per-epoch progress line came first
         assert not model.exists()
+
+    def test_train_into_missing_directory_fails_before_training(self, small_pipeline, tmp_path, capsys):
+        for out_flag in ("--model", "--out"):
+            paths = {"--model": tmp_path / "m.gboc", "--out": tmp_path / "curve.csv"}
+            paths[out_flag] = tmp_path / "nodir" / "x.csv"
+            rc = cli.main(
+                [
+                    "train",
+                    "--train-csv", str(small_pipeline["data"] / "train.csv"),
+                    "--label-col", "label",
+                    "--model", str(paths["--model"]),
+                    "--out", str(paths["--out"]),
+                    "--epochs", "1",
+                ]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "nodir" in err  # no per-epoch progress line came first
+            assert not (tmp_path / "m.gboc").exists()
+
+    def test_detect_into_missing_directory_is_clean_error(self, small_pipeline, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "detect",
+                "--test-csv", str(small_pipeline["data"] / "test.csv"),
+                "--label-col", "label",
+                "--model", str(small_pipeline["model"]),
+                "--out", str(tmp_path / "nodir" / "r.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nodir" in err
 
 
 class TestSynth:

@@ -5,7 +5,7 @@ import pytest
 
 from gboc import granular, neural
 from gboc.errors import ShapeMismatch
-from oracles import fd_gradient_check, naive_decode, naive_encode, random_small_net
+from oracles import fd_gradient_check, naive_decode, naive_encode, random_small_net, two_branch_sigmoid
 
 
 def zero_encoder(d=2, h=4, L=2):
@@ -55,6 +55,21 @@ class TestEncode:
         Z = neural.encode_batch(enc, X)
         for i in range(9):
             assert np.max(np.abs(Z[i] - neural.encode_batch(enc, X[i][None])[0])) < 1e-12
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_two_branch_form(self):
+        rng = np.random.default_rng(13)
+        wide = rng.normal(scale=50.0, size=(1000, 8))
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array(
+            [0.0, -0.0, tiny, -tiny, 709.0, -709.0, 745.5, -745.5, 1e308, -1e308, np.inf, -np.inf]
+        )
+        for x in (rng.normal(scale=10.0, size=20000), wide[:, 2:6], wide[::3, 1], edges):
+            assert np.array_equal(neural._sigmoid(x), two_branch_sigmoid(x))
+
+    def test_nan_maps_to_nan(self):
+        assert np.isnan(neural._sigmoid(np.array([np.nan, 1.0])))[0]
 
 
 class TestDecode:
@@ -118,6 +133,17 @@ class TestBackward:
         assert l_rec == pytest.approx(rec, rel=1e-12)
         assert l_gb == pytest.approx(gb, rel=1e-12)
         assert loss == pytest.approx(0.5 * rec + 0.5 * gb, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 201, 202, 203, 204, 205])
+    def test_default_assignment_is_nearest_center_of_same_pass(self, seed):
+        enc, dec, X, Y, centers, _ = random_small_net(seed)
+        explicit, _ = granular.nearest_centers(centers, neural.encode_batch(enc, X))
+        for lam in (0.0, 0.5, 1.0):
+            grads_a, *losses_a = neural.backward(enc, dec, X, Y, centers, explicit, lam)
+            grads_b, *losses_b = neural.backward(enc, dec, X, Y, centers, None, lam)
+            assert losses_a == losses_b
+            assert grads_a.keys() == grads_b.keys()
+            assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
 
     def test_finite_difference_small_config(self):
         rng = np.random.default_rng(55)

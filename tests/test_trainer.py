@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,23 @@ class TestTrain:
         _, reports = trainer.train(ts, tiny_config(epochs=4, rebuild_every=2))
         assert reports[0].balls_before == reports[1].balls_before
         assert reports[2].balls_before == reports[3].balls_before
+
+    def test_one_encoder_pass_per_batch_and_per_ball_build(self, monkeypatch):
+        ts = tiny_series()
+        cfg = tiny_config(epochs=4, rebuild_every=2)
+        calls = []
+        forward = neural._forward_encoder
+
+        def counted(enc, X, keep_cache):
+            calls.append(X.shape[0])
+            return forward(enc, X, keep_cache)
+
+        monkeypatch.setattr(neural, "_forward_encoder", counted)
+        trainer.train(ts, cfg)
+        n = ts.T - cfg.window + 1
+        # ball builds at epochs 1 and 3 plus the final build
+        assert len(calls) == cfg.epochs * math.ceil(n / cfg.batch_size) + 3
+        assert calls.count(n) == 3
 
     def test_series_shorter_than_window(self):
         ts = tsdata.TimeSeries(values=np.zeros((3, 1)))
