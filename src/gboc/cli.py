@@ -1,14 +1,13 @@
 """Command-line interface: synth, train, detect, eval, dump-balls.
 
-Data goes to files or stdout, progress to stderr; every floating-point value
-written to a CSV uses 17 significant digits so round trips are exact. All
-commands exit 0 on success and nonzero with a message on any module error.
+Data goes to files or stdout, progress to stderr. Every CSV is read and
+written by ``tsdata``, whose writer gives floats 17 significant digits so
+round trips are exact. All commands exit 0 on success and nonzero with a
+message on any module error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import sys
 from pathlib import Path
 
@@ -18,10 +17,6 @@ from . import metrics, scoring, tsdata
 from .errors import GbocError, MissingFile, ModelMismatch, ParseError
 from .model_io import load_model, save_model
 from .trainer import TrainConfig, train
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def _parse_delta_set(text: str) -> tuple[int, ...]:
@@ -121,10 +116,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    for out in (args.model, args.out):
+def _check_out_dirs(*paths: str | None) -> None:
+    """Fail before any work when an output file's directory does not exist."""
+    for out in paths:
         if out is not None and not Path(out).parent.is_dir():
             raise MissingFile(f"no such directory for output file: {out}")
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.model, args.out)
     ts = tsdata.load_csv(args.train_csv, label_column=args.label_col)
     cfg = TrainConfig(
         window=args.window,
@@ -147,13 +147,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, reports = train(ts, cfg, verbose=not args.quiet)
     save_model(model, args.model)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_lrec", "mean_lgb", "mean_loss", "balls_before", "balls_after"])
-            for r in reports:
-                writer.writerow(
-                    [r.epoch, _fmt(r.mean_lrec), _fmt(r.mean_lgb), _fmt(r.mean_loss), r.balls_before, r.balls_after]
-                )
+        tsdata.write_csv(
+            args.out,
+            ["epoch", "mean_lrec", "mean_lgb", "mean_loss", "balls_before", "balls_after"],
+            [[r.epoch, r.mean_lrec, r.mean_lgb, r.mean_loss, r.balls_before, r.balls_after] for r in reports],
+        )
     print(f"model written to {args.model} ({model.centers.shape[0]} centers)", file=sys.stderr)
     return 0
 
@@ -169,6 +167,7 @@ def _load_for_model(path: str, label_col: str | None, n_channels: int) -> tsdata
 def cmd_detect(args: argparse.Namespace) -> int:
     if args.threshold_fit == "validation" and not args.val_csv:
         raise ParseError("--threshold-fit validation requires --val-csv")
+    _check_out_dirs(args.out)
     model = load_model(args.model)
     ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
     threshold_scores = None
@@ -176,68 +175,41 @@ def cmd_detect(args: argparse.Namespace) -> int:
         val_ts = _load_for_model(args.val_csv, args.label_col, model.encoder.input_size)
         threshold_scores = scoring.detect(model, val_ts).point_scores
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if args.scores_only:
-            writer.writerow(["t", "point_score"])
-            for t, s in enumerate(report.point_scores):
-                writer.writerow([t, _fmt(s)])
-        else:
-            header = ["t", "point_score", "flag"] + (["label"] if ts.labels is not None else [])
-            writer.writerow(header)
-            for t in range(ts.T):
-                row = [t, _fmt(report.point_scores[t]), int(report.flags[t])]
-                if ts.labels is not None:
-                    row.append(int(ts.labels[t]))
-                writer.writerow(row)
+    columns = {"t": range(ts.T), "point_score": report.point_scores.tolist()}
+    if not args.scores_only:
+        columns["flag"] = report.flags.tolist()
+        if ts.labels is not None:
+            columns["label"] = ts.labels.tolist()
+    tsdata.write_csv(args.out, list(columns), zip(*columns.values()))
     print(
-        f"report written to {args.out} (threshold {_fmt(report.threshold)}, {int(report.flags.sum())} flags)",
+        f"report written to {args.out} (threshold {report.threshold:.17g}, {int(report.flags.sum())} flags)",
         file=sys.stderr,
     )
     return 0
 
 
-def _report_cell(row: list[str], rnum: int, header: list[str], i: int, parse):
-    try:
-        return parse(row[i])
-    except (IndexError, ValueError):
-        found = repr(row[i]) if i < len(row) else "nothing (short row)"
-        msg = f"report row {rnum}, column {header[i]!r}: cannot read {found}"
-        raise ParseError(msg, row=rnum, col=header[i]) from None
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
 def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not Path(path).is_file():
-        raise MissingFile(f"no such report file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("report file is empty")
-        try:
-            i_score = header.index("point_score")
-            i_flag = header.index("flag")
-        except ValueError:
-            raise ParseError("report must have point_score and flag columns") from None
-        i_label = header.index("label") if "label" in header else None
-        if i_label is None:
-            raise ParseError("report has no label column; rerun detect with --label-col")
-        scores, flags, labels = [], [], []
-        for rnum, row in enumerate(reader, start=1):
-            scores.append(_report_cell(row, rnum, header, i_score, _finite_float))
-            flags.append(_report_cell(row, rnum, header, i_flag, int))
-            labels.append(_report_cell(row, rnum, header, i_label, int))
-    return np.array(scores), np.array(flags, dtype=np.int64), np.array(labels, dtype=np.int64)
+    """Scores, 0/1 flags and 0/1 labels of a detect report."""
+    try:
+        report = tsdata.load_csv(path, label_column="label")
+    except ParseError as exc:
+        if exc.row == 0 and exc.col == "label":
+            msg = "report has no label column; rerun detect with --label-col and without --scores-only"
+            raise ParseError(msg) from None
+        raise
+    names = report.channel_names
+    if "point_score" not in names or "flag" not in names:
+        raise ParseError("report must have point_score and flag columns")
+    flags = report.values[:, names.index("flag")]
+    bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
+    if bad.size:
+        row = int(bad[0]) + 1
+        raise ParseError(f"row {row}, column 'flag': {flags[bad[0]]:g} is not 0/1", row=row, col="flag")
+    return report.values[:, names.index("point_score")], flags.astype(np.int64), report.labels
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     scores, flags, labels = _read_report(args.report)
     delta_set = _parse_delta_set(args.delta_set)
     sigma = args.sigma_aff if args.sigma_aff is not None else args.window / 2.0
@@ -247,22 +219,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"VUS-ROC         {result.vus_roc:.6f}")
     print(f"Affiliation-F1  {af}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "auc_pr", "auc_roc"])
-            for row in result.per_delta:
-                writer.writerow([row.delta, _fmt(row.auc_pr), _fmt(row.auc_roc)])
+        tsdata.write_csv(
+            args.out, ["delta", "auc_pr", "auc_roc"], [[r.delta, r.auc_pr, r.auc_roc] for r in result.per_delta]
+        )
     return 0
 
 
 def cmd_dump_balls(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     model = load_model(args.model)
-    d_lat = model.centers.shape[1]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{i}" for i in range(d_lat)] + ["radius"])
-        for center, radius in zip(model.centers, model.radii):
-            writer.writerow([_fmt(v) for v in center] + [_fmt(radius)])
+    header = [f"c{i}" for i in range(model.centers.shape[1])] + ["radius"]
+    tsdata.write_csv(args.out, header, np.column_stack([model.centers, model.radii]).tolist())
     return 0
 
 

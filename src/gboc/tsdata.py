@@ -6,6 +6,7 @@ concurrently on distinct data.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,51 +94,60 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     """Read a comma-separated file with a mandatory header into a TimeSeries.
 
     All non-label columns must parse as finite reals; the label column, when
-    named, must contain only 0/1.
+    named, must contain only 0/1. A bad cell, or the first cell missing from
+    a short row, is named as ``row R, column 'C'`` with data rows counted
+    from 1.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty (no header row)") from None
-        header = [h.strip() for h in header]
-        label_idx: int | None = None
-        if label_column is not None:
-            if label_column not in header:
-                raise ParseError(f"label column {label_column!r} not in header", row=0, col=label_column)
-            label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
-            raise ParseError("no feature columns")
+    try:
+        with path.open(newline="") as fh:
+            records = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a CSV text file: {exc}") from None
+    if not records:
+        raise ParseError("file is empty (no header row)")
+    header = [h.strip() for h in records[0]]
+    label_idx: int | None = None
+    if label_column is not None:
+        if label_column not in header:
+            raise ParseError(f"label column {label_column!r} not in header", row=0, col=label_column)
+        label_idx = header.index(label_column)
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feat_idx:
+        raise ParseError("no feature columns")
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for rnum, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise ParseError(f"row {rnum} has {len(record)} fields, expected {len(header)}", row=rnum)
-            feats = []
-            for i in feat_idx:
-                try:
-                    v = float(record[i])
-                except ValueError:
-                    raise ParseError(f"row {rnum}, column {header[i]!r}: not a number", row=rnum, col=header[i]) from None
-                if not np.isfinite(v):
-                    raise ParseError(f"row {rnum}, column {header[i]!r}: non-finite value", row=rnum, col=header[i])
-                feats.append(v)
-            rows.append(feats)
-            if label_idx is not None:
-                raw = record[label_idx].strip()
-                try:
-                    lv = float(raw)
-                except ValueError:
-                    raise NonBinaryLabel(f"row {rnum}: label {raw!r} is not 0/1", row=rnum) from None
-                if lv not in (0.0, 1.0):
-                    raise NonBinaryLabel(f"row {rnum}: label {raw!r} is not 0/1", row=rnum)
-                labels.append(int(lv))
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for rnum, record in enumerate(records[1:], start=1):
+        if len(record) > len(header):
+            raise ParseError(f"row {rnum} has {len(record)} fields, expected {len(header)}", row=rnum)
+        if len(record) < len(header):
+            col = header[len(record)]
+            msg = f"row {rnum}, column {col!r}: missing, the row has {len(record)} of {len(header)} fields"
+            raise ParseError(msg, row=rnum, col=col)
+        feats = []
+        for i in feat_idx:
+            try:
+                v = float(record[i])
+            except ValueError:
+                msg = f"row {rnum}, column {header[i]!r}: {record[i]!r} is not a number"
+                raise ParseError(msg, row=rnum, col=header[i]) from None
+            if not math.isfinite(v):
+                msg = f"row {rnum}, column {header[i]!r}: {record[i]!r} is not finite"
+                raise ParseError(msg, row=rnum, col=header[i])
+            feats.append(v)
+        rows.append(feats)
+        if label_idx is not None:
+            raw = record[label_idx].strip()
+            try:
+                lv = float(raw)
+            except ValueError:
+                lv = None
+            if lv not in (0.0, 1.0):
+                raise NonBinaryLabel(f"row {rnum}, column {label_column!r}: label {raw!r} is not 0/1", row=rnum)
+            labels.append(int(lv))
 
     if not rows:
         raise ParseError("file has a header but no data rows")
@@ -146,18 +156,25 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     return TimeSeries(values=values, labels=np.array(labels, dtype=np.int64) if label_idx is not None else None, channel_names=names)
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows of cells in the format load_csv reads.
+
+    Floats get 17 significant digits, so every finite float64 reads back
+    bit-exactly; any other cell is written as str() of it.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def save_csv(ts: TimeSeries, path: str | Path) -> None:
     """Write a TimeSeries in the same format load_csv reads (label column included when present)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(ts.channel_names) + (["label"] if ts.labels is not None else [])
-        writer.writerow(header)
-        for t in range(ts.T):
-            row = [format(v, ".17g") for v in ts.values[t]]
-            if ts.labels is not None:
-                row.append(str(int(ts.labels[t])))
-            writer.writerow(row)
+    rows = ts.values.tolist()
+    if ts.labels is None:
+        write_csv(path, list(ts.channel_names), rows)
+    else:
+        write_csv(path, [*ts.channel_names, "label"], [[*r, y] for r, y in zip(rows, ts.labels.tolist())])
 
 
 def fit_normalizer(train: TimeSeries) -> NormStats:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import read_report, run_cli_pipeline
 from gboc import cli, model_io
@@ -132,8 +136,14 @@ class TestErrors:
             ("1,0.2,yes,0", "flag"),
             ("1,nan,0,0", "point_score"),
             ("1,inf,0,0", "point_score"),
+            ("1,0.2,0,2", "label"),
+            ("1,0.2,0,-1", "label"),
+            ("1,0.2,7,0", "flag"),
         ],
-        ids=["non_numeric_score", "short_row", "non_integer_flag", "nan_score", "inf_score"],
+        ids=[
+            "non_numeric_score", "short_row", "non_integer_flag", "nan_score", "inf_score",
+            "label_two", "negative_label", "flag_seven",
+        ],
     )
     def test_eval_malformed_report_names_row_and_column(self, tmp_path, capsys, bad_row, column):
         report = tmp_path / "report.csv"
@@ -142,6 +152,47 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"row 2, column '{column}'" in err
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eval_on_a_report_with_one_change_exits_0_only_when_valid(self, tmp_path, capsys, data):
+        n = data.draw(st.integers(4, 12))
+        scores = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        flags = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        # two anomalies and two normal points, so no single change leaves the labels one-class
+        labels = [1, 1, 0, 0] + data.draw(st.lists(st.sampled_from([0, 1]), min_size=n - 4, max_size=n - 4))
+        rows = [[str(t), repr(s), str(f), str(y)] for t, (s, f, y) in enumerate(zip(scores, flags, labels))]
+        cell_text = st.one_of(
+            st.sampled_from(["nan", "inf", "2", "-1", "1.0", ""]),
+            st.floats().map(repr),
+            st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)), max_size=8),
+        )
+        change = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        row = rows[data.draw(st.integers(0, n - 1))]
+        col = data.draw(st.integers(0, 3))
+        if change == "replace":
+            row[col] = data.draw(cell_text)
+        elif change == "drop":
+            del row[col]
+        else:
+            row.insert(data.draw(st.integers(0, 4)), data.draw(cell_text))
+        report = tmp_path / "report.csv"
+        report.write_text("".join(",".join(r) + "\n" for r in [["t", "point_score", "flag", "label"], *rows]))
+
+        rc = cli.main(["eval", "--report", str(report)])
+        err = capsys.readouterr().err
+        if change == "replace":
+            try:
+                value = float(row[col])
+            except ValueError:
+                value = math.nan
+            valid = value in (0.0, 1.0) if col >= 2 else math.isfinite(value)
+        else:
+            valid = False
+        if valid:
+            assert rc == 0, err
+        else:
+            assert rc == 1 and err.startswith("error:"), (rc, err)
 
     def test_eval_missing_report(self, tmp_path, capsys):
         assert cli.main(["eval", "--report", str(tmp_path / "absent.csv")]) == 1
@@ -237,6 +288,25 @@ class TestErrors:
             ]
         )
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nodir" in err
+
+    @pytest.mark.parametrize("command", ["detect", "eval", "dump-balls"])
+    def test_output_directory_checked_before_any_work(self, small_pipeline, tmp_path, capsys, monkeypatch, command):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the output directory was checked")
+
+        monkeypatch.setattr(cli, "load_model", not_reached)
+        monkeypatch.setattr(cli, "_read_report", not_reached)
+        out = str(tmp_path / "nodir" / "out.csv")
+        model = str(small_pipeline["model"])
+        test_csv = str(small_pipeline["data"] / "test.csv")
+        argv = {
+            "detect": ["--test-csv", test_csv, "--label-col", "label", "--model", model],
+            "eval": ["--report", str(small_pipeline["report"])],
+            "dump-balls": ["--model", model],
+        }[command]
+        assert cli.main([command, *argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nodir" in err
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gboc import model_io, neural, trainer, tsdata
-from gboc.errors import BadMagic, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
+from gboc.errors import BadMagic, GbocError, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
 
 
 def random_model(seed: int) -> trainer.GbocModel:
@@ -142,3 +142,24 @@ class TestRejection:
     def test_missing_path(self, tmp_path):
         with pytest.raises(MissingFile):
             model_io.load_model(tmp_path / "absent.gboc")
+
+    def test_every_truncation_and_byte_overwrite_is_a_typed_error(self):
+        blob = model_io._dump(random_model(0))
+
+        def corrupted():
+            for cut in range(len(blob)):
+                yield f"truncated to {cut} bytes", blob[:cut]
+            for offset in range(len(blob)):
+                for value in (0x00, 0x7F, 0x80, 0xFF):
+                    buf = bytearray(blob)
+                    buf[offset] = value
+                    yield f"byte {offset} set to {value:#04x}", bytes(buf)
+
+        for what, buf in corrupted():
+            try:
+                model = model_io._parse(buf)
+            except GbocError:
+                continue
+            except Exception as exc:
+                pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+            assert isinstance(model, trainer.GbocModel), what

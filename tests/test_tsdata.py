@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gboc import tsdata
@@ -12,6 +12,8 @@ from gboc.errors import (
     ParseError,
     WindowTooLong,
 )
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def write(path, text):
@@ -64,6 +66,15 @@ class TestLoadCsv:
         back = tsdata.load_csv(p, label_column="label")
         assert np.array_equal(back.values, ts.values)
         assert np.array_equal(back.labels, ts.labels)
+
+    @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
+    @example([(-0.0, 5e-324), (-5e-324, 2.2250738585072009e-308), (1.7976931348623157e308, -1.7976931348623157e308)])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_csv_round_trips_every_finite_float_bit_exactly(self, tmp_path, rows):
+        p = tmp_path / "rt.csv"
+        tsdata.write_csv(p, ["a", "b"], rows)
+        back = tsdata.load_csv(p)
+        assert back.values.tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
 
 class TestNormalizer:
