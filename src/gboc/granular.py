@@ -6,6 +6,15 @@ measure strictly improves, and finally pruned by a radius threshold derived
 from the global radius distribution. Everything is deterministic for a fixed
 seed: k-means++ seeding, first-occurrence tie breaking in assignments, and a
 stable sweep order.
+
+One kernel, _nearest, finds the nearest center for k-means (initial
+assignment and Lloyd sweeps), training assignment and detect. It ranks
+centers by ||c||^2 - 2 x.c from one matrix product and keeps a row's winner
+only when no other center lies within a proven rounding bound of it; every
+other row, and every query of at most _EXACT_BLOCK (row, center,
+coordinate) triples, is ranked by the exact broadcast of squared
+differences. Its indices therefore equal the argmin of the exact squared
+distances bit for bit, whatever the BLAS or its thread count.
 """
 from __future__ import annotations
 
@@ -15,15 +24,59 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateRange, EmptyBall, EmptySet
+from .errors import BadParams, DegenerateRange, EmptyBall, EmptySet
 
 KMEANS_MAX_ITER = 100
 
+# Largest (row, center, coordinate) count the exact broadcast handles in one
+# block. Queries no larger skip the matrix product, which costs more than the
+# broadcast at this size (the 2-means split sweep); larger exact work is cut
+# into row blocks of at most this many triples.
+_EXACT_BLOCK = 1 << 16
 
-def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (N, k)."""
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def _broadcast_argmin(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Argmin over the exact broadcast squared distances (ties -> lowest index)."""
     diff = X[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+
+
+def _nearest(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest center, equal to _broadcast_argmin bit for bit.
+
+    g = ||c||^2 - 2 X C^T differs from the squared distance by the row
+    constant ||x||^2. By the inner-product bound |fl(x.y) - x.y| <=
+    gamma_n |x|.|y|, gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. 3.5), both g + ||x||^2
+    and the exact broadcast value lie within gamma_{d+2} R^2 of the true
+    squared distance, R = ||x|| + max ||c||. So the exact winner's g is within
+    4 gamma_{d+2} R^2 of the row's minimum; the tolerance doubles that to
+    cover its own rounding and adds an absolute term for underflow. A row with
+    one candidate inside it keeps that index; rows with more, or with none
+    (NaN or overflow), are ranked exactly.
+    """
+    n, d = X.shape
+    k = centers.shape[0]
+    if n * k * d <= _EXACT_BLOCK:
+        return _broadcast_argmin(X, centers)
+    c2 = np.einsum("kd,kd->k", centers, centers)
+    g = X @ centers.T
+    g *= -2.0
+    g += c2
+    idx = np.argmin(g, axis=1)
+    r = np.sqrt(np.einsum("nd,nd->n", X, X)) + np.sqrt(c2.max())
+    gamma = (d + 2) * _UNIT_ROUNDOFF / (1.0 - (d + 2) * _UNIT_ROUNDOFF)
+    tol = 8.0 * (gamma * r * r + (d + 2) * _SMALLEST_SUBNORMAL)
+    bound = g[np.arange(n), idx] + tol
+    ambiguous = np.flatnonzero(np.count_nonzero(g <= bound[:, None], axis=1) != 1)
+    step = max(1, _EXACT_BLOCK // (k * d))
+    for s in range(0, ambiguous.size, step):
+        rows = ambiguous[s : s + step]
+        idx[rows] = _broadcast_argmin(X[rows], centers)
+    return idx
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,17 +118,19 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     Converges when assignments stop changing (at most KMEANS_MAX_ITER
     sweeps); assignment ties go to the lower-indexed centroid. Returns
     (centers, assignment); clusters can come back empty only when duplicate
-    points make them unfixable.
+    points make them unfixable. Raises BadParams unless 1 <= k <= N.
     """
     X = np.asarray(X, dtype=np.float64)
+    if not 1 <= k <= X.shape[0]:
+        raise BadParams(f"k-means needs 1 <= k <= {X.shape[0]} points, got k={k}")
     centers = _kmeanspp_init(X, k, rng)
-    assign = _reseed_empty(X, centers, np.argmin(_sq_dists(X, centers), axis=1))
+    assign = _reseed_empty(X, centers, _nearest(X, centers))
     for _ in range(KMEANS_MAX_ITER):
         for c in range(k):
             members = X[assign == c]
             if members.shape[0]:
                 centers[c] = members.mean(axis=0)
-        new_assign = _reseed_empty(X, centers, np.argmin(_sq_dists(X, centers), axis=1))
+        new_assign = _reseed_empty(X, centers, _nearest(X, centers))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -228,6 +283,8 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     everything (pathological radii), the single smallest-radius ball is kept
     so scoring always has a center.
     """
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise BadParams(f"prune needs a finite mu > 0, got {mu}")
     if gb_set.pruned:
         return gb_set
     if not gb_set.balls:
@@ -248,13 +305,17 @@ def nearest_center(centers: np.ndarray, z: np.ndarray) -> tuple[int, float]:
 
 
 def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest_center over rows of Z; returns (indices, distances)."""
+    """Vectorized nearest_center over rows of Z; returns (indices, distances).
+
+    The winner's distance is recomputed from its own difference vector, which
+    gives the same bits as the exact broadcast value."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptySet("no centers to search")
-    d2 = _sq_dists(np.asarray(Z, dtype=np.float64), centers)
-    idx = np.argmin(d2, axis=1)
-    return idx, np.sqrt(d2[np.arange(Z.shape[0]), idx])
+    Z = np.asarray(Z, dtype=np.float64)
+    idx = _nearest(Z, centers)
+    diff = Z - centers[idx]
+    return idx, np.sqrt(np.einsum("nd,nd->n", diff, diff))
 
 
 def coverage_rate(latents: np.ndarray, centers: np.ndarray) -> float:

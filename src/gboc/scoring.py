@@ -33,24 +33,36 @@ def score_windows(model: GbocModel, ws: tsdata.WindowSet) -> np.ndarray:
 
 def windows_to_points(window_scores: np.ndarray, starts: np.ndarray, w: int, T: int) -> np.ndarray:
     """Per-timestep score: mean over all windows covering the timestep;
-    uncovered timesteps inherit the nearest covered timestep's score."""
+    uncovered timesteps inherit the nearest covered timestep's score (ties ->
+    the earlier one).
+
+    Starts must be strictly increasing and each window must fit in [0, T).
+    Each timestep sums its windows in start order, one offset j at a time
+    from w-1 down to 0, so the sums are those of a per-window loop."""
     window_scores = np.asarray(window_scores, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
-    if window_scores.shape != starts.shape:
-        raise BadParams("window_scores and starts must have the same length")
+    if window_scores.shape != starts.shape or starts.ndim != 1:
+        raise BadParams("window_scores and starts must be 1-D with the same length")
+    if w < 1 or starts.size == 0:
+        raise BadParams("need a positive window length and at least one window")
+    if starts[0] < 0 or starts[-1] + w > T or np.any(np.diff(starts) <= 0):
+        raise BadParams(f"window starts must increase strictly and windows of length {w} must fit in {T} steps")
     total = np.zeros(T)
     count = np.zeros(T)
-    for score, s in zip(window_scores, starts):
-        total[s : s + w] += score
-        count[s : s + w] += 1.0
+    for j in range(w - 1, -1, -1):
+        total[starts + j] += window_scores
+        count[starts + j] += 1.0
     covered = count > 0
     out = np.zeros(T)
     out[covered] = total[covered] / count[covered]
     if not covered.all():
-        cov_idx = np.where(covered)[0]
-        for t in np.where(~covered)[0]:
-            nearest = cov_idx[np.argmin(np.abs(cov_idx - t))]
-            out[t] = out[nearest]
+        cov_idx = np.flatnonzero(covered)
+        gaps = np.flatnonzero(~covered)
+        right = np.searchsorted(cov_idx, gaps)
+        left = np.maximum(right - 1, 0)
+        right = np.minimum(right, cov_idx.size - 1)
+        take_left = np.abs(gaps - cov_idx[left]) <= np.abs(cov_idx[right] - gaps)
+        out[gaps] = out[np.where(take_left, cov_idx[left], cov_idx[right])]
     return out
 
 

@@ -202,9 +202,8 @@ def make_windows(ts: TimeSeries, w: int, stride: int = 1) -> WindowSet:
         raise WindowTooLong(f"window length {w} exceeds series length {ts.T}")
     n = (ts.T - w) // stride + 1
     starts = np.arange(n, dtype=np.int64) * stride
-    windows = np.empty((n, w * ts.d), dtype=np.float64)
-    for k, s in enumerate(starts):
-        windows[k] = ts.values[s : s + w].reshape(-1)
+    view = np.lib.stride_tricks.sliding_window_view(ts.values, (w, ts.d))[::stride, 0]
+    windows = np.array(view.reshape(n, w * ts.d), dtype=np.float64)
     return WindowSet(windows=windows, starts=starts, window_len=w, stride=stride, n_channels=ts.d)
 
 

@@ -5,6 +5,8 @@ with the library paths it checks.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gboc import granular, neural
@@ -101,6 +103,44 @@ def random_small_net(seed: int):
     z = neural.encode_batch(enc, X)
     assignment, _ = granular.nearest_centers(centers, z)
     return enc, dec, X, Y, centers, assignment
+
+
+def pairwise_nearest(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center of each row by a loop over every (row, center) pair:
+    one difference vector's squared length at a time, and a strict < so a
+    tie keeps the lowest index."""
+    idx = np.empty(Z.shape[0], dtype=np.intp)
+    dist = np.empty(Z.shape[0])
+    for i, z in enumerate(Z):
+        best, best_j = math.inf, 0
+        for j, c in enumerate(centers):
+            diff = z - c
+            d2 = float(np.einsum("d,d->", diff, diff))
+            if d2 < best:
+                best, best_j = d2, j
+        idx[i], dist[i] = best_j, math.sqrt(best)
+    return idx, dist
+
+
+def brute_force_windows_to_points(window_scores, starts, w: int, T: int) -> np.ndarray:
+    """Per timestep: the covering windows' scores added in window order and
+    divided by their count; an uncovered timestep copies the closest covered
+    one, the earlier on a tie."""
+    out = np.empty(T)
+    covered = []
+    for t in range(T):
+        total, count = 0.0, 0
+        for score, s in zip(window_scores, starts):
+            if s <= t < s + w:
+                total += float(score)
+                count += 1
+        if count:
+            out[t] = total / count
+            covered.append(t)
+    for t in range(T):
+        if t not in covered:
+            out[t] = out[min(covered, key=lambda c: (abs(c - t), c))]
+    return out
 
 
 def brute_force_vus_pr(scores, labels, delta_set) -> float:

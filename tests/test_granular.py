@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gboc import granular
-from gboc.errors import DegenerateRange, EmptyBall, EmptySet
+from gboc.errors import BadParams, DegenerateRange, EmptyBall, EmptySet
+from oracles import pairwise_nearest
 
 
 def ball_of(points) -> granular.GranularBall:
@@ -12,6 +13,37 @@ def ball_of(points) -> granular.GranularBall:
     if pts.ndim == 1:
         pts = pts[:, None]
     return granular.GranularBall.from_members(pts, np.arange(len(pts))), pts
+
+
+@st.composite
+def center_queries(draw):
+    """Centers and query rows on either side of the exact-broadcast size
+    gate: scales 1e-3..1e3, optionally far from the origin, with duplicate
+    centers, rows on centers, rows near the bisector of two centers, and
+    integer grids whose distances tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = draw(st.integers(1, 24)), draw(st.integers(1, 48))
+    if draw(st.booleans()):
+        n = granular._EXACT_BLOCK // (k * d) + draw(st.integers(1, 64))
+    else:
+        n = draw(st.integers(1, max(1, granular._EXACT_BLOCK // (k * d))))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.sampled_from([0.0, 1e3])) * scale
+    if draw(st.booleans()):
+        step = 2.0 ** draw(st.integers(-10, 10))
+        centers = offset + step * rng.integers(-3, 4, size=(k, d))
+        Z = offset + step * rng.integers(-3, 4, size=(n, d))
+    else:
+        centers = offset + scale * rng.normal(size=(k, d))
+        Z = offset + scale * rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        centers[rng.integers(k, size=k // 2)] = centers[rng.integers(k)]
+    on = rng.random(n) < 0.2
+    Z[on] = centers[rng.integers(k, size=int(on.sum()))]
+    near = rng.random(n) < 0.3
+    a, b = rng.integers(k, size=(2, int(near.sum())))
+    Z[near] = (centers[a] + centers[b]) / 2 + 1e-12 * scale * rng.normal(size=(int(near.sum()), d))
+    return centers, Z
 
 
 class TestDensityMeasure:
@@ -84,6 +116,13 @@ class TestTrySplit:
         if result is not None:
             assert granular.weighted_child_dm(*result) < granular.dm(b)
             assert result[0].size >= s_min and result[1].size >= s_min
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_k_outside_one_to_n_rejected(self, k):
+        with pytest.raises(BadParams):
+            granular.kmeans(np.arange(10.0).reshape(5, 2), k, np.random.default_rng(0))
 
 
 class TestGenerate:
@@ -173,6 +212,12 @@ class TestPrune:
         expected = sorted(x for x in radii if x <= r_th)
         assert sorted(b.radius for b in pruned.balls) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_mu_rejected(self, mu):
+        gset = self.make_set_with_radii([1.0, 2.0])
+        with pytest.raises(BadParams):
+            granular.prune(gset, mu=mu)
+
     def test_never_removes_every_ball(self):
         gset = self.make_set_with_radii([1.0, 1.0])
         with pytest.warns(UserWarning):
@@ -205,6 +250,26 @@ class TestNearestCenter:
     def test_empty_set(self):
         with pytest.raises(EmptySet):
             granular.nearest_center(np.zeros((0, 2)), np.zeros(2))
+
+    @given(center_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_pairwise_oracle(self, query):
+        centers, Z = query
+        idx, dists = granular.nearest_centers(centers, Z)
+        want_idx, want_dists = pairwise_nearest(centers, Z)
+        assert np.array_equal(idx, want_idx)
+        assert dists.tobytes() == want_dists.tobytes()
+
+    def test_converged_kmeans_assigns_each_point_its_oracle_nearest_center(self):
+        # far from the origin, so the matrix-product ranking is at its least
+        # accurate; at convergence the last assignment came from the
+        # returned centers, and no cluster is empty, so nothing was reseeded
+        rng = np.random.default_rng(41)
+        pts = 1e3 + rng.normal(size=(900, 16))
+        centers, assign = granular.kmeans(pts, 30, np.random.default_rng(3))
+        assert pts.size * 30 > granular._EXACT_BLOCK
+        assert (np.bincount(assign, minlength=30) > 0).all()
+        assert np.array_equal(assign, pairwise_nearest(centers, pts)[0])
 
 
 class TestCoverage:

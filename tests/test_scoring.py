@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gboc import neural, scoring, trainer, tsdata
 from gboc.errors import BadParams, ModelMismatch
+from oracles import brute_force_windows_to_points
 
 
 def make_model(seed=0, window=3, d=1, hidden=4, layers=1, centers=None) -> trainer.GbocModel:
@@ -89,6 +92,28 @@ class TestWindowsToPoints:
         # starts {0, 3} with w=3 cover t=0..5; t=6 inherits t=5
         out = scoring.windows_to_points(np.array([1.0, 5.0]), np.array([0, 3]), 3, 7)
         assert out[6] == out[5] == 5.0
+
+    def test_gap_equidistant_from_two_windows_takes_the_earlier(self):
+        out = scoring.windows_to_points(np.array([1.0, 5.0]), np.array([0, 4]), 1, 5)
+        assert out.tolist() == [1.0, 1.0, 1.0, 5.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "starts, w, T",
+        [([1, 0], 2, 5), ([0, 0], 2, 5), ([-1, 2], 2, 5), ([0, 4], 2, 5), ([], 2, 5), ([0, 2], 0, 5)],
+    )
+    def test_bad_layout_rejected(self, starts, w, T):
+        with pytest.raises(BadParams):
+            scoring.windows_to_points(np.ones(len(starts)), np.array(starts, dtype=np.int64), w, T)
+
+    @given(st.data(), st.integers(1, 12), st.integers(1, 15), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_per_timestep_oracle(self, data, w, stride, extra):
+        T = w + extra
+        starts = np.arange((T - w) // stride + 1, dtype=np.int64) * stride
+        finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+        scores = np.array(data.draw(st.lists(finite, min_size=starts.size, max_size=starts.size)), dtype=np.float64)
+        out = scoring.windows_to_points(scores, starts, w, T)
+        assert out.tobytes() == brute_force_windows_to_points(scores, starts, w, T).tobytes()
 
 
 class TestThreshold:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_curve
-from gboc import granular, model_io, neural, trainer, tsdata
+import gboc
+from gboc import cli, granular, model_io, neural, trainer, tsdata
 from gboc.errors import BadParams, EmptySet, NonFiniteLoss
 
 
@@ -193,6 +198,24 @@ class TestTrain:
         assert model.centers.shape[1] == cfg.layers * cfg.hidden
         assert model.radii.shape == (model.centers.shape[0],)
         assert np.all(model.radii >= 0)
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The coarse k-means of a T=300 fit ranks centers through a matrix
+    product; its guard keeps the model the same however many threads the
+    BLAS uses."""
+    assert cli.main(["synth", "--kind", "clean", "--length", "300", "--seed", "3", "--out", str(tmp_path)]) == 0
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(gboc.__file__).resolve().parents[1])
+    code = "import sys; from gboc import cli; sys.exit(cli.main(sys.argv[1:]))"
+    models = []
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        model = tmp_path / f"model_{name}.bin"
+        argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
+                "--model", str(model), "--epochs", "2", "--seed", "3", "--quiet"]
+        subprocess.run([sys.executable, "-c", code, *argv], env={**base, **threads}, check=True, timeout=300)
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 class TestDeskScaleCurve:

@@ -156,6 +156,18 @@ class TestMakeWindows:
         assert np.array_equal(tiled, ts.values[: ws.n_windows * w])
 
 
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 3), st.integers(0, 20), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_window_copies(self, w, stride, d, extra, seed):
+        ts = tsdata.TimeSeries(values=np.random.default_rng(seed).normal(size=(w + extra, d)))
+        ws = tsdata.make_windows(ts, w, stride)
+        want = np.array([ts.values[s : s + w].reshape(-1) for s in ws.starts])
+        assert ws.windows.tobytes() == want.tobytes()
+        assert ws.windows.flags.owndata and ws.windows.flags.c_contiguous
+        ws.windows[:] = 0.0
+        assert np.array_equal(ts.values.reshape(-1)[: want.shape[1]], want[0])
+
+
 class TestSynthScenario:
     def test_deterministic(self):
         a = tsdata.synth_scenario("clean", 300, 7)
