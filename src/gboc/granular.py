@@ -1,11 +1,13 @@
 """Granular-ball construction over a set of latent vectors.
 
 Balls are built by coarse k-means into about sqrt(N) clusters, then refined
-by repeated 2-means splits accepted only when the member-weighted density
-measure strictly improves, and finally pruned by a radius threshold derived
-from the global radius distribution. Everything is deterministic for a fixed
-seed: k-means++ seeding, first-occurrence tie breaking in assignments, and a
-stable sweep order.
+by hierarchical 2-means splits, and finally pruned by a radius threshold
+derived from the global radius distribution. A split is accepted only when
+the member-weighted density measure strictly improves and both children
+carry enough members; each ball is tried at most once, so a rejected ball is
+final and only the two children of an accepted split are tried next.
+Everything is deterministic for a fixed seed: k-means++ seeding,
+first-occurrence tie breaking in assignments, and a stable sweep order.
 
 One kernel, _nearest, finds the nearest center for k-means (initial
 assignment and Lloyd sweeps), training assignment and detect. It ranks
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +85,9 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = np.full(n, np.inf)
     for j in range(1, k):
+        d2 = np.minimum(d2, np.sum((X - centers[j - 1]) ** 2, axis=1))
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
@@ -92,16 +95,17 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             r = rng.random() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centers[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
     return centers
 
 
 def _reseed_empty(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Move each empty cluster's centroid to the point farthest from its
     assigned centroid (for k=2 this is the member farthest from the other
-    centroid). Identical points cannot be separated and are left alone."""
-    k = centers.shape[0]
-    counts = np.bincount(assign, minlength=k)
+    centroid).
+
+    Stops at the first empty cluster whose farthest point sits on its own
+    centroid: then every point does, so no empty cluster can be fixed."""
+    counts = np.bincount(assign, minlength=centers.shape[0])
     for c in np.where(counts == 0)[0]:
         own = np.sum((X - centers[assign]) ** 2, axis=1)
         far = int(np.argmax(own))
@@ -109,8 +113,18 @@ def _reseed_empty(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.
             break
         centers[c] = X[far]
         assign[far] = c
-        counts = np.bincount(assign, minlength=k)
     return assign
+
+
+def _update_centers(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> None:
+    """Set each non-empty cluster's centroid to its members' mean, in one pass
+    over the rows sorted stably by cluster; empty clusters keep theirs."""
+    counts = np.bincount(assign, minlength=centers.shape[0])
+    filled = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[filled]
+    sums = np.add.reduceat(X[np.argsort(assign, kind="stable")], starts, axis=0)
+    centers[filled] = sums / counts[filled, None]
+
 
 def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ plus Lloyd iterations.
@@ -126,10 +140,7 @@ def kmeans(X: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     centers = _kmeanspp_init(X, k, rng)
     assign = _reseed_empty(X, centers, _nearest(X, centers))
     for _ in range(KMEANS_MAX_ITER):
-        for c in range(k):
-            members = X[assign == c]
-            if members.shape[0]:
-                centers[c] = members.mean(axis=0)
+        _update_centers(X, centers, assign)
         new_assign = _reseed_empty(X, centers, _nearest(X, centers))
         if np.array_equal(new_assign, assign):
             break
@@ -185,11 +196,13 @@ def try_split(
 
     Returns the two children when the split strictly improves the weighted
     density measure and both children carry enough members, else None (keep).
-    Balls at or below the minimum support are never split. With
-    require_child_support each child needs >= s_min members; without it, two
-    members suffice.
+    With require_child_support each child needs min_child = s_min members;
+    without it, min_child = 2. Balls at or below the minimum support, or
+    with fewer than 2 * min_child members, are kept before any k-means runs
+    or any random number is drawn.
     """
-    if ball.size <= s_min:
+    min_child = s_min if require_child_support else 2
+    if ball.size <= s_min or ball.size < 2 * min_child:
         return None
     rng = rng if rng is not None else np.random.default_rng(0)
     pts = latents[ball.member_indices]
@@ -200,7 +213,6 @@ def try_split(
     right = ball.member_indices[assign == 1]
     if left.size == 0 or right.size == 0:
         return None
-    min_child = s_min if require_child_support else 2
     if left.size < min_child or right.size < min_child:
         return None
     child1 = GranularBall.from_members(latents, left)
@@ -215,7 +227,6 @@ class GbSet:
     """The full ball collection; immutable once built."""
 
     balls: list[GranularBall]
-    pruned: bool = False
 
     @property
     def centers(self) -> np.ndarray:
@@ -254,39 +265,37 @@ def generate(
 ) -> GbSet:
     """Build the unpruned ball set over N latent vectors.
 
-    Starts from the kmeans_balls clusters, then sweeps the balls in stable
-    index order applying try_split; an accepted split replaces the parent in
-    place and appends the second child. Stops when a full sweep produces no
-    split.
+    Starts from the kmeans_balls clusters, all open. Each sweep passes the
+    open balls in index order to try_split; an accepted split replaces the
+    parent in place, appends the second child, and opens both children for
+    the next sweep. A ball try_split keeps is settled for good, so no ball is
+    tried twice and each sweep is one level of the split tree. Balls with
+    fewer than 2 * min_child members (see try_split) are kept without a
+    k-means.
     """
     latents = np.asarray(latents, dtype=np.float64)
     balls, rng = kmeans_balls(latents, seed)
-    while True:
-        split_happened = False
-        for j in range(len(balls)):
-            if balls[j].size <= s_min:
-                continue
+    open_balls = list(range(len(balls)))
+    while open_balls:
+        children = []
+        for j in open_balls:
             result = try_split(balls[j], latents, s_min, rng, require_child_support)
             if result is not None:
                 balls[j] = result[0]
+                children += [j, len(balls)]
                 balls.append(result[1])
-                split_happened = True
-        if not split_happened:
-            break
+        open_balls = sorted(children)
     return GbSet(balls=balls)
 
 
 def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     """Drop diffuse balls whose radius exceeds mu * max(median, mean) of all radii.
 
-    Pruning an already-pruned set is a no-op. If the threshold would remove
-    everything (pathological radii), the single smallest-radius ball is kept
-    so scoring always has a center.
+    If the threshold would remove everything (pathological radii), the single
+    smallest-radius ball is kept so scoring always has a center.
     """
     if not (math.isfinite(mu) and mu > 0.0):
         raise BadParams(f"prune needs a finite mu > 0, got {mu}")
-    if gb_set.pruned:
-        return gb_set
     if not gb_set.balls:
         raise EmptySet("cannot prune an empty ball set")
     radii = gb_set.radii
@@ -295,7 +304,7 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     if not kept:
         warnings.warn("radius threshold would prune every ball; keeping the tightest one")
         kept = [gb_set.balls[int(np.argmin(radii))]]
-    return replace(gb_set, balls=kept, pruned=True)
+    return GbSet(balls=kept)
 
 
 def nearest_center(centers: np.ndarray, z: np.ndarray) -> tuple[int, float]:

@@ -4,6 +4,7 @@ trainer tests and several acceptance criteria."""
 from __future__ import annotations
 
 import csv
+import os
 import time
 from pathlib import Path
 
@@ -24,6 +25,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+        # GitHub Actions renders this file as the job summary
+        summary = os.environ.get("GITHUB_STEP_SUMMARY")
+        if summary:
+            with open(summary, "a") as fh:
+                fh.write("### Acceptance criteria\n\n```\n" + "\n".join(ACCEPTANCE_LINES) + "\n```\n")
 
 
 def run_cli_pipeline(

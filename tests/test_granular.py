@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gboc import granular
-from gboc.errors import BadParams, DegenerateRange, EmptyBall, EmptySet
+from gboc.errors import BadParams, DegenerateRange, EmptyBall, EmptySet, GbocError
 from oracles import pairwise_nearest
 
 
@@ -124,6 +124,20 @@ class TestKmeans:
         with pytest.raises(BadParams):
             granular.kmeans(np.arange(10.0).reshape(5, 2), k, np.random.default_rng(0))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12), st.integers(1, 16),
+           st.integers(-3, 3), st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_converged_centers_are_member_means_and_a_fixed_point(self, seed, n, d, k, exp, offset):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exp
+        X = offset * scale + scale * rng.normal(size=(n, d))
+        k = min(k, n)
+        centers, assign = granular.kmeans(X, k, rng)
+        tol = 1e-12 * float(np.abs(X).max())
+        for c in np.unique(assign):
+            assert np.abs(centers[c] - X[assign == c].mean(axis=0)).max() <= tol
+        assert np.array_equal(granular._nearest(X, centers), assign)
+
 
 class TestGenerate:
     def test_single_point(self):
@@ -162,6 +176,41 @@ class TestGenerate:
             assert np.array_equal(x.member_indices, y.member_indices)
             assert np.array_equal(x.center, y.center)
 
+    @staticmethod
+    def two_means_inputs(monkeypatch) -> list[np.ndarray]:
+        """Record the points of every 2-means call made through granular.kmeans."""
+        seen = []
+        original = granular.kmeans
+
+        def recording(X, k, rng):
+            if k == 2:
+                seen.append(np.array(X, copy=True))
+            return original(X, k, rng)
+
+        monkeypatch.setattr(granular, "kmeans", recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_member_set_is_split_twice(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(400, 3))
+        seen = self.two_means_inputs(monkeypatch)
+        granular.generate(pts, s_min=8, seed=seed)
+        assert seen
+        keys = [x.tobytes() for x in seen]
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("s_min,require_child_support,floor", [(8, True, 16), (2, False, 4)])
+    def test_no_two_means_on_a_ball_too_small_for_two_children(
+        self, monkeypatch, s_min, require_child_support, floor
+    ):
+        rng = np.random.default_rng(17)
+        pts = np.concatenate([rng.normal(0, 1, size=(300, 2)), rng.normal(8, 0.3, size=(100, 2))])
+        seen = self.two_means_inputs(monkeypatch)
+        granular.generate(pts, s_min=s_min, seed=5, require_child_support=require_child_support)
+        assert seen
+        assert min(len(x) for x in seen) >= floor
+
     @given(st.integers(0, 5_000))
     @settings(max_examples=30, deadline=None)
     def test_partition_invariant(self, seed):
@@ -172,6 +221,33 @@ class TestGenerate:
         union = np.sort(np.concatenate([b.member_indices for b in gset.balls]))
         assert np.array_equal(union, np.arange(n))
         assert len(gset.balls) <= n
+
+
+def _degenerate_cloud(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(29)
+    if kind == "all_equal":
+        return np.full((100, 4), 0.3)
+    if kind == "two_values":
+        return np.where(rng.random(100) < 0.5, -1.5, 2.0)[:, None] * np.ones((1, 4))
+    if kind == "below_s_min":
+        return rng.normal(size=(5, 4))
+    return rng.normal(size=(1, 4))
+
+
+@pytest.mark.parametrize("kind", ["all_equal", "two_values", "below_s_min", "single"])
+@pytest.mark.parametrize("require_child_support", [True, False])
+def test_degenerate_cloud_builds_a_partition(kind, require_child_support):
+    # the latents a collapsed encoder produces: the build either refuses
+    # with a typed error or yields a partition, and pruning keeps a ball
+    latents = _degenerate_cloud(kind)
+    try:
+        gset = granular.generate(latents, s_min=8, seed=3, require_child_support=require_child_support)
+        pruned = granular.prune(gset)
+    except GbocError:
+        return
+    union = np.sort(np.concatenate([b.member_indices for b in gset.balls]))
+    assert np.array_equal(union, np.arange(len(latents)))
+    assert gset.balls and pruned.balls
 
 
 class TestPrune:
@@ -190,17 +266,11 @@ class TestPrune:
     def test_hand_case(self):
         gset = self.make_set_with_radii([1.0, 1.0, 2.0, 10.0])
         pruned = granular.prune(gset, mu=2.0)
-        assert pruned.pruned
         assert sorted(b.radius for b in pruned.balls) == [1.0, 1.0, 2.0]
 
     def test_equal_radii_nothing_pruned(self):
         gset = self.make_set_with_radii([3.0, 3.0, 3.0])
         assert len(granular.prune(gset, mu=2.0).balls) == 3
-
-    def test_second_prune_is_noop(self):
-        gset = self.make_set_with_radii([1.0, 1.0, 2.0, 10.0])
-        once = granular.prune(gset, mu=2.0)
-        assert granular.prune(once, mu=2.0) is once
 
     def test_retained_set_matches_threshold_rule(self):
         rng = np.random.default_rng(15)

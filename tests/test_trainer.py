@@ -65,7 +65,7 @@ class TestLosses:
     def test_lgb_empty_set(self):
         # training reads its alignment targets from GbSet.centers
         with pytest.raises(EmptySet):
-            granular.GbSet(balls=[], pruned=True).centers
+            granular.GbSet(balls=[]).centers
 
     def test_lrec_perfect(self):
         enc, dec = zero_net(2, 6)
