@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, scoring, tsdata
-from .errors import GbocError, MissingFile, ModelMismatch, ParseError
+from .errors import BadParams, GbocError, MissingFile, ModelMismatch, ParseError
 from .model_io import load_model, save_model
 from .trainer import TrainConfig, train
 
@@ -117,10 +117,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _check_out_dirs(*paths: str | None) -> None:
-    """Fail before any work when an output file's directory does not exist."""
+    """Fail before any work when an output file's directory does not exist
+    or the output path is itself a directory."""
     for out in paths:
-        if out is not None and not Path(out).parent.is_dir():
+        if out is None:
+            continue
+        if not Path(out).parent.is_dir():
             raise MissingFile(f"no such directory for output file: {out}")
+        if Path(out).is_dir():
+            raise BadParams(f"output file is a directory: {out}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -147,11 +152,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, reports = train(ts, cfg, verbose=not args.quiet)
     save_model(model, args.model)
     if args.out:
-        tsdata.write_csv(
-            args.out,
-            ["epoch", "mean_lrec", "mean_lgb", "mean_loss", "balls_before", "balls_after"],
-            [[r.epoch, r.mean_lrec, r.mean_lgb, r.mean_loss, r.balls_before, r.balls_after] for r in reports],
-        )
+        header = ["epoch", "mean_lrec", "mean_lgb", "mean_loss", "balls_before", "balls_after"]
+        columns = [np.array([getattr(r, name) for r in reports]) for name in header]
+        tsdata.write_csv(args.out, header, columns)
     print(f"model written to {args.model} ({model.centers.shape[0]} centers)", file=sys.stderr)
     return 0
 
@@ -175,12 +178,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         val_ts = _load_for_model(args.val_csv, args.label_col, model.encoder.input_size)
         threshold_scores = scoring.detect(model, val_ts).point_scores
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)
-    columns = {"t": range(ts.T), "point_score": report.point_scores.tolist()}
+    columns = {"t": np.arange(ts.T), "point_score": report.point_scores}
     if not args.scores_only:
-        columns["flag"] = report.flags.tolist()
+        columns["flag"] = report.flags
         if ts.labels is not None:
-            columns["label"] = ts.labels.tolist()
-    tsdata.write_csv(args.out, list(columns), zip(*columns.values()))
+            columns["label"] = ts.labels
+    tsdata.write_csv(args.out, list(columns), columns.values())
     print(
         f"report written to {args.out} (threshold {report.threshold:.17g}, {int(report.flags.sum())} flags)",
         file=sys.stderr,
@@ -219,9 +222,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"VUS-ROC         {result.vus_roc:.6f}")
     print(f"Affiliation-F1  {af}")
     if args.out:
-        tsdata.write_csv(
-            args.out, ["delta", "auc_pr", "auc_roc"], [[r.delta, r.auc_pr, r.auc_roc] for r in result.per_delta]
-        )
+        header = ["delta", "auc_pr", "auc_roc"]
+        columns = [np.array([getattr(r, name) for r in result.per_delta]) for name in header]
+        tsdata.write_csv(args.out, header, columns)
     return 0
 
 
@@ -229,7 +232,7 @@ def cmd_dump_balls(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out)
     model = load_model(args.model)
     header = [f"c{i}" for i in range(model.centers.shape[1])] + ["radius"]
-    tsdata.write_csv(args.out, header, np.column_stack([model.centers, model.radii]).tolist())
+    tsdata.write_csv(args.out, header, [*model.centers.T, model.radii])
     return 0
 
 

@@ -122,6 +122,15 @@ def _dist_to_intervals(points: np.ndarray, intervals: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _kernel_denominator(sigma: float) -> float:
+    """2 sigma^2 of the affiliation kernel, checked: sigma must be positive
+    and finite and 2 sigma^2 must neither underflow to 0 nor overflow."""
+    denom = 2.0 * sigma * sigma
+    if not (0.0 < sigma < np.inf and 0.0 < denom < np.inf):
+        raise BadParams(f"sigma must be positive and finite with 2*sigma^2 a positive finite number, got {sigma}")
+    return denom
+
+
 def affiliation_f1(
     pred_flags: np.ndarray, intervals: list[tuple[int, int]], sigma: float
 ) -> float:
@@ -133,13 +142,11 @@ def affiliation_f1(
     when there are no predictions (or no true anomalies to recall, or the
     kernels underflow to zero on both sides).
     """
-    if sigma <= 0:
-        raise BadParams("sigma must be positive")
+    denom = _kernel_denominator(sigma)
     pred_ts = np.where(np.asarray(pred_flags, dtype=np.int64) == 1)[0].astype(np.float64)
     if pred_ts.size == 0 or not intervals:
         return float("nan")
     iv = np.asarray(intervals, dtype=np.float64)
-    denom = 2.0 * sigma * sigma
 
     d_pred = _dist_to_intervals(pred_ts, iv)
     precision = float(np.mean(np.exp(-(d_pred**2) / denom)))
@@ -163,6 +170,7 @@ def evaluate(
 ) -> EvalScores:
     """All three metrics plus the per-delta breakdown, as the eval command
     reports them; sigma is the affiliation kernel bandwidth."""
+    _kernel_denominator(sigma)
     areas = _delta_areas(point_scores, labels, delta_set)
     if np.all(labels):
         raise DegenerateLabels("need at least one anomaly and one normal point")

@@ -20,9 +20,19 @@ from . import granular
 from .errors import NonFiniteGradient, ShapeMismatch
 
 
+# encode_batch's block size: a block of ENCODE_BLOCK to 2 * ENCODE_BLOCK - 1
+# rows keeps its gate and state arrays in cache, where one pass over a
+# 20000-window series streams each 4h-wide pre-activation through memory at
+# every timestep
+ENCODE_BLOCK = 512
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + ex), ex / (1 + ex))
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    den = 1 + ex
+    return np.where(x >= 0, 1 / den, ex / den)
 
 
 @dataclass
@@ -128,12 +138,15 @@ def _forward_encoder(
         steps = [] if keep_cache else None
         for t in range(w):
             xt = seq[:, t, :]
-            a = xt @ layer.W.T + hs @ layer.U.T + layer.b
-            i = _sigmoid(a[:, :h])
-            f = _sigmoid(a[:, h : 2 * h])
+            a = xt @ layer.W.T
+            a += hs @ layer.U.T
+            a += layer.b
+            i_f = _sigmoid(a[:, : 2 * h])
+            i, f = i_f[:, :h], i_f[:, h:]
             g = np.tanh(a[:, 2 * h : 3 * h])
             o = _sigmoid(a[:, 3 * h :])
-            c_new = f * cs + i * g
+            c_new = f * cs
+            c_new += i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
             if keep_cache:
@@ -149,9 +162,16 @@ def _forward_encoder(
 
 
 def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
-    """Latent vectors for a batch of windows shaped (B, w, d)."""
-    z, _ = _forward_encoder(enc, np.asarray(X, dtype=np.float64), keep_cache=False)
-    return z
+    """Latent vectors for a batch of windows shaped (B, w, d).
+
+    The batch runs as max(1, B // ENCODE_BLOCK) equal blocks, so a block
+    holds the whole batch or at least ENCODE_BLOCK rows. A block of a few
+    rows would go to BLAS's small-matrix or vector kernels, which round
+    differently from its matrix kernel, and the latents would depend on B.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    blocks = np.array_split(X, max(1, X.shape[0] // ENCODE_BLOCK))
+    return np.concatenate([_forward_encoder(enc, block, keep_cache=False)[0] for block in blocks])
 
 
 def decode_batch(dec: DecoderParams, Z: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,9 +119,35 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     if not feat_idx:
         raise ParseError("no feature columns")
 
+    data = records[1:]
+    if not data:
+        raise ParseError("file has a header but no data rows")
+    try:
+        # np.array(column, dtype=float64) calls float() on each cell, as _walk_rows does
+        if np.any(np.fromiter(map(len, data), np.int64, len(data)) != len(header)):
+            raise ValueError
+        columns = list(zip(*data))
+        values = np.column_stack([np.array(columns[i], dtype=np.float64) for i in feat_idx])
+        labels = None if label_idx is None else np.array(columns[label_idx], dtype=np.float64)
+        if not np.all(np.isfinite(values)) or (labels is not None and np.any((labels != 0) & (labels != 1))):
+            raise ValueError
+    except ValueError:
+        values, labels = _walk_rows(data, header, feat_idx, label_idx)
+    return TimeSeries(
+        values=values,
+        labels=None if labels is None else labels.astype(np.int64),
+        channel_names=[header[i] for i in feat_idx],
+    )
+
+
+def _walk_rows(
+    data: list[list[str]], header: list[str], feat_idx: list[int], label_idx: int | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse the data rows one cell at a time; raise the error of the first
+    bad row or cell, in row order and then column order."""
     rows: list[list[float]] = []
-    labels: list[int] = []
-    for rnum, record in enumerate(records[1:], start=1):
+    labels: list[float] = []
+    for rnum, record in enumerate(data, start=1):
         if len(record) > len(header):
             raise ParseError(f"row {rnum} has {len(record)} fields, expected {len(header)}", row=rnum)
         if len(record) < len(header):
@@ -146,35 +173,32 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
             except ValueError:
                 lv = None
             if lv not in (0.0, 1.0):
-                raise NonBinaryLabel(f"row {rnum}, column {label_column!r}: label {raw!r} is not 0/1", row=rnum)
-            labels.append(int(lv))
-
-    if not rows:
-        raise ParseError("file has a header but no data rows")
-    values = np.array(rows, dtype=np.float64)
-    names = [header[i] for i in feat_idx]
-    return TimeSeries(values=values, labels=np.array(labels, dtype=np.int64) if label_idx is not None else None, channel_names=names)
+                msg = f"row {rnum}, column {header[label_idx]!r}: label {raw!r} is not 0/1"
+                raise NonBinaryLabel(msg, row=rnum)
+            labels.append(lv)
+    return np.array(rows, dtype=np.float64), None if label_idx is None else np.array(labels)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a header and rows of cells in the format load_csv reads.
+def write_csv(path: str | Path, header: list[str], columns: Iterable[np.ndarray]) -> None:
+    """Write a header row and then one numeric column per header name, in
+    the format load_csv reads.
 
-    Floats get 17 significant digits, so every finite float64 reads back
-    bit-exactly; any other cell is written as str() of it.
+    Float columns get 17 significant digits, so every finite float64 reads
+    back bit-exactly; integer columns are written as plain integers.
     """
+    columns = [np.asarray(c) for c in columns]
+    row_format = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.write("".join([row_format % row for row in zip(*(c.tolist() for c in columns))]))
 
 
 def save_csv(ts: TimeSeries, path: str | Path) -> None:
     """Write a TimeSeries in the same format load_csv reads (label column included when present)."""
-    rows = ts.values.tolist()
     if ts.labels is None:
-        write_csv(path, list(ts.channel_names), rows)
+        write_csv(path, list(ts.channel_names), ts.values.T)
     else:
-        write_csv(path, [*ts.channel_names, "label"], [[*r, y] for r, y in zip(rows, ts.labels.tolist())])
+        write_csv(path, [*ts.channel_names, "label"], [*ts.values.T, ts.labels])
 
 
 def fit_normalizer(train: TimeSeries) -> NormStats:
@@ -221,6 +245,9 @@ class SynthParams:
     n_channels: int = 1
 
     def __post_init__(self):
+        for name in ("spike_mag", "shift_mag", "drift_slope", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParams(f"{name} must be finite, got {getattr(self, name)}")
         if self.spike_mag <= 0 or self.shift_mag <= 0:
             raise BadParams("spike and shift magnitudes must be positive")
         if self.shift_len <= 0 or self.n_channels <= 0:
@@ -265,7 +292,13 @@ def synth_scenario(
         raise BadParams(f"unknown scenario kind {kind!r}, expected one of {SCENARIO_KINDS}")
     if T < 200:
         raise BadParams(f"T must be >= 200, got {T}")
+    if not 0 <= seed < 2**64:
+        raise BadParams(f"seed must be in [0, 2**64), got {seed}")
     params = params or SynthParams()
+    margin = max(params.shift_len + 1, T // 50)
+    lo, hi = margin, T - margin
+    if params.n_shifts and lo >= hi - params.shift_len:
+        raise BadParams(f"a level shift of length {params.shift_len} does not fit in a series of T={T}")
     d = params.n_channels
     rng = np.random.default_rng([seed, 0xB0C])
 
@@ -273,9 +306,6 @@ def synth_scenario(
     train_values = signal[:T].copy()
     test_values = signal[T:].copy()
     labels = np.zeros(T, dtype=np.int64)
-
-    margin = max(params.shift_len + 1, T // 50)
-    lo, hi = margin, T - margin
 
     # level shifts first (they occupy ranges), then spikes outside them
     occupied = np.zeros(T, dtype=bool)

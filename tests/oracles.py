@@ -5,11 +5,14 @@ with the library paths it checks.
 """
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from gboc import granular, neural
+from gboc import granular, neural, tsdata
+from gboc.errors import MissingFile, NonBinaryLabel, ParseError
 
 
 def naive_encode(enc: neural.EncoderParams, window: np.ndarray) -> np.ndarray:
@@ -44,6 +47,38 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def where_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function as one np.where over both branches, each from a
+    fresh exp(-|x|) and a fresh 1 + e."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + ex), ex / (1 + ex))
+
+
+def unblocked_encode(enc: neural.EncoderParams, X: np.ndarray) -> np.ndarray:
+    """Latents of the whole batch (B, w, d) in one forward pass, every gate
+    product and state update a fresh array."""
+    h = enc.hidden_size
+    seq = np.asarray(X, dtype=np.float64)
+    B, w, _ = seq.shape
+    finals = []
+    for layer in enc.layers:
+        hs = np.zeros((B, h))
+        cs = np.zeros((B, h))
+        outputs = np.empty((B, w, h))
+        for t in range(w):
+            a = seq[:, t, :] @ layer.W.T + hs @ layer.U.T + layer.b
+            i = where_sigmoid(a[:, :h])
+            f = where_sigmoid(a[:, h : 2 * h])
+            g = np.tanh(a[:, 2 * h : 3 * h])
+            o = where_sigmoid(a[:, 3 * h :])
+            cs = f * cs + i * g
+            hs = o * np.tanh(cs)
+            outputs[:, t, :] = hs
+        finals.append(hs)
+        seq = outputs
+    return np.concatenate(finals, axis=1)
 
 
 def naive_decode(dec: neural.DecoderParams, z: np.ndarray) -> np.ndarray:
@@ -186,3 +221,72 @@ def brute_force_vus_roc(scores, labels, delta_set) -> float:
         )
         areas.append(area)
     return float(np.mean(areas))
+
+
+def row_walk_load_csv(path, label_column: str | None = None) -> tsdata.TimeSeries:
+    """CSV to TimeSeries one cell at a time with float(), raising the first
+    bad row or cell's error as soon as the walk reaches it."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"no such file: {path}")
+    try:
+        with path.open(newline="") as fh:
+            records = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not a CSV text file: {exc}") from None
+    if not records:
+        raise ParseError("file is empty (no header row)")
+    header = [h.strip() for h in records[0]]
+    label_idx = None
+    if label_column is not None:
+        if label_column not in header:
+            raise ParseError(f"label column {label_column!r} not in header", row=0, col=label_column)
+        label_idx = header.index(label_column)
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feat_idx:
+        raise ParseError("no feature columns")
+    rows, labels = [], []
+    for rnum, record in enumerate(records[1:], start=1):
+        if len(record) > len(header):
+            raise ParseError(f"row {rnum} has {len(record)} fields, expected {len(header)}", row=rnum)
+        if len(record) < len(header):
+            col = header[len(record)]
+            msg = f"row {rnum}, column {col!r}: missing, the row has {len(record)} of {len(header)} fields"
+            raise ParseError(msg, row=rnum, col=col)
+        feats = []
+        for i in feat_idx:
+            try:
+                v = float(record[i])
+            except ValueError:
+                msg = f"row {rnum}, column {header[i]!r}: {record[i]!r} is not a number"
+                raise ParseError(msg, row=rnum, col=header[i]) from None
+            if not math.isfinite(v):
+                msg = f"row {rnum}, column {header[i]!r}: {record[i]!r} is not finite"
+                raise ParseError(msg, row=rnum, col=header[i])
+            feats.append(v)
+        rows.append(feats)
+        if label_idx is not None:
+            raw = record[label_idx].strip()
+            try:
+                lv = float(raw)
+            except ValueError:
+                lv = None
+            if lv not in (0.0, 1.0):
+                raise NonBinaryLabel(f"row {rnum}, column {label_column!r}: label {raw!r} is not 0/1", row=rnum)
+            labels.append(int(lv))
+    if not rows:
+        raise ParseError("file has a header but no data rows")
+    return tsdata.TimeSeries(
+        values=np.array(rows, dtype=np.float64),
+        labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
+        channel_names=[header[i] for i in feat_idx],
+    )
+
+
+def csv_writer_write(path, header: list[str], rows) -> None:
+    """Header and rows through csv.writer, each float cell as format(v, '.17g')
+    and any other cell as csv.writer writes it."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)

@@ -310,6 +310,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nodir" in err
 
+    @pytest.mark.parametrize("command", ["train", "detect", "eval", "dump-balls"])
+    def test_output_path_that_is_a_directory_rejected_before_any_work(
+        self, small_pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("load_model", "_read_report", "train"):
+            monkeypatch.setattr(cli, name, not_reached)
+        out = tmp_path / "taken"
+        out.mkdir()
+        model = str(small_pipeline["model"])
+        data = small_pipeline["data"]
+        argv = {
+            "train": ["--train-csv", str(data / "train.csv"), "--label-col", "label", "--model", str(out)],
+            "detect": ["--test-csv", str(data / "test.csv"), "--model", model, "--out", str(out)],
+            "eval": ["--report", str(small_pipeline["report"]), "--out", str(out)],
+            "dump-balls": ["--model", model, "--out", str(out)],
+        }[command]
+        assert cli.main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is a directory" in err and "taken" in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e-320", "-1"])
+    def test_eval_rejects_a_meaningless_sigma(self, small_pipeline, capsys, sigma):
+        assert cli.main(["eval", "--report", str(small_pipeline["report"]), "--sigma-aff", sigma]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and "sigma" in captured.err
+
 
 class TestSynth:
     def test_writes_both_files_with_labels(self, tmp_path, capsys):
@@ -326,3 +355,20 @@ class TestSynth:
             ["synth", "--kind", "clean", "--length", "250", "--seed", "3", "--out", str(tmp_path), "--spike-mag", "-1"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
+            ["--kind", "drift_noise", "--length", "300", "--shift-len", "1000"],
+            ["--spike-mag", "nan"],
+            ["--noise-std", "inf"],
+        ],
+    )
+    def test_bad_input_is_a_clean_error(self, tmp_path, capsys, flags):
+        argv = ["synth", "--kind", "clean", "--length", "250", "--out", str(tmp_path / "data"), *flags]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "data").exists()

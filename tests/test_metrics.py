@@ -187,6 +187,12 @@ class TestAffiliation:
         with pytest.raises(BadParams):
             metrics.affiliation_f1(np.ones(3, dtype=np.int64), [(0, 0)], 0.0)
 
+    # 1e-320 squared underflows, so 2 sigma^2 is 0; 1e160 squared overflows to inf
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, -np.inf, 1e-320, 1e160])
+    def test_sigma_must_give_a_positive_finite_kernel_width(self, sigma):
+        with pytest.raises(BadParams):
+            metrics.affiliation_f1(np.ones(3, dtype=np.int64), [(0, 0)], sigma)
+
 
 class TestLabelIntervals:
     def test_runs(self):
@@ -226,6 +232,16 @@ class TestEvaluate:
             assert row.auc_roc == metrics.vus_roc(scores, labels, single)
             assert abs(row.auc_pr - brute_force_vus_pr(scores, labels, single)) <= 1e-12
             assert abs(row.auc_roc - brute_force_vus_roc(scores, labels, single)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e-320, 1e160])
+    def test_bad_sigma_rejected_before_the_sweep(self, monkeypatch, sigma):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the threshold sweep ran before sigma was checked")
+
+        monkeypatch.setattr(metrics, "_delta_areas", not_reached)
+        labels = np.array([0, 1, 0, 0], dtype=np.int64)
+        with pytest.raises(BadParams, match="sigma"):
+            metrics.evaluate(np.linspace(0.0, 1.0, 4), labels, labels, sigma=sigma)
 
     def test_no_anomalies_reported_before_degenerate_labels(self):
         scores = np.linspace(0.0, 1.0, 6)

@@ -5,7 +5,18 @@ import pytest
 
 from gboc import granular, neural
 from gboc.errors import ShapeMismatch
-from oracles import fd_gradient_check, naive_decode, naive_encode, random_small_net, two_branch_sigmoid
+from oracles import (
+    fd_gradient_check,
+    naive_decode,
+    naive_encode,
+    random_small_net,
+    two_branch_sigmoid,
+    unblocked_encode,
+    where_sigmoid,
+)
+
+
+BLOCK = neural.ENCODE_BLOCK
 
 
 def zero_encoder(d=2, h=4, L=2):
@@ -56,6 +67,14 @@ class TestEncode:
         for i in range(9):
             assert np.max(np.abs(Z[i] - neural.encode_batch(enc, X[i][None])[0])) < 1e-12
 
+    @pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 300, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("d,h,layers,w", [(1, 32, 2, 2), (3, 32, 2, 5), (2, 5, 3, 3)])
+    def test_blocked_batch_bitwise_equals_one_unblocked_pass(self, n, d, h, layers, w):
+        rng = np.random.default_rng(n + 7 * d)
+        enc = neural.init_encoder(d, h, layers, rng)
+        X = rng.normal(size=(n, w, d))
+        assert neural.encode_batch(enc, X).tobytes() == unblocked_encode(enc, X).tobytes()
+
 
 class TestSigmoid:
     def test_bitwise_equal_to_two_branch_form(self):
@@ -67,6 +86,16 @@ class TestSigmoid:
         )
         for x in (rng.normal(scale=10.0, size=20000), wide[:, 2:6], wide[::3, 1], edges):
             assert np.array_equal(neural._sigmoid(x), two_branch_sigmoid(x))
+
+    def test_bitwise_equal_to_one_where_over_fresh_arrays(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array(
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             745.0, -745.0, 1e308, -1e308, np.nan, -np.nan]
+        )
+        rng = np.random.default_rng(17)
+        for x in (edges, rng.normal(scale=30.0, size=(257, 64)), rng.normal(size=(40, 12))[:, 3:9]):
+            assert neural._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
 
     def test_nan_maps_to_nan(self):
         assert np.isnan(neural._sigmoid(np.array([np.nan, 1.0])))[0]

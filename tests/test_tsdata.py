@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -12,8 +15,40 @@ from gboc.errors import (
     ParseError,
     WindowTooLong,
 )
+from oracles import csv_writer_write, row_walk_load_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# spellings float() accepts or rejects that a plain decimal grid would never draw
+ODD_CELLS = [
+    "\u0663", "1_000.5", " \t7\n", "-iNF", "1e400", "-1e400", "nan", " NaN ", "infinity", "+.5", "5.", "\xa01",
+    "1\u2003", "\uff11\uff12", "0x10", "1,0", "1__0", "_1", "1e", "1d5", "", " ", "abc", "-0", "1e0", "\u0661",
+]
+CELL = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(ODD_CELLS),
+    st.text(alphabet="0123456789.eE+-_ nai", max_size=6),
+)
+LABEL_CELL = st.one_of(st.sampled_from(["0", "1", " 1 ", "1.0", "-0", "1e0", "0.0"]), CELL)
+
+
+def assert_loads_like_row_walk(path, records, label):
+    """load_csv gives the row-walk reference's series, or its exception type,
+    message, row and column."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(records)
+
+    def outcome(load):
+        try:
+            ts = load(path, label_column=label)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+        labels = None if ts.labels is None else ts.labels.tolist()
+        return ts.values.tobytes(), ts.values.shape, labels, ts.channel_names
+
+    assert outcome(tsdata.load_csv) == outcome(row_walk_load_csv)
 
 
 def write(path, text):
@@ -72,9 +107,44 @@ class TestLoadCsv:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_csv_round_trips_every_finite_float_bit_exactly(self, tmp_path, rows):
         p = tmp_path / "rt.csv"
-        tsdata.write_csv(p, ["a", "b"], rows)
+        values = np.array(rows, dtype=np.float64)
+        tsdata.write_csv(p, ["a", "b"], values.T)
         back = tsdata.load_csv(p)
-        assert back.values.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert back.values.tobytes() == values.tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(), st.integers(-(2**63), 2**63 - 1), st.floats(width=32)), min_size=0, max_size=20
+        )
+    )
+    @example([(-0.0, 0, 5e-324), (-5e-324, -1, 1.7976931348623157e308), (-1.7976931348623157e308, 7, math.nan)])
+    @example([(math.inf, 2**63 - 1, -math.inf), (math.nan, -(2**63), 0.0)])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_csv_bytes_equal_csv_writer_with_17_digit_floats(self, tmp_path, rows):
+        header = ["x", "n", "quoted, name"]
+        floats = np.array([r[0] for r in rows], dtype=np.float64)
+        ints = np.array([r[1] for r in rows], dtype=np.int64)
+        more = np.array([r[2] for r in rows], dtype=np.float64)
+        tsdata.write_csv(tmp_path / "got.csv", header, [floats, ints, more])
+        csv_writer_write(tmp_path / "want.csv", header, zip(floats.tolist(), ints.tolist(), more.tolist()))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @given(
+        n_cols=st.integers(1, 3),
+        label=st.sampled_from([None, "label", "b"]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_csv_equals_row_walk_reference(self, tmp_path, n_cols, label, data):
+        header = ["a", "b", "c"][:n_cols] + ([label] if label == "label" else [])
+        full_row = st.tuples(*[LABEL_CELL if name == "label" else CELL for name in header]).map(list)
+        any_row = st.lists(CELL, max_size=len(header) + 1)
+        grid = data.draw(st.lists(st.one_of(full_row, full_row, full_row, full_row, any_row), max_size=8))
+        assert_loads_like_row_walk(tmp_path / "grid.csv", [header, *grid], label)
+
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_spellings_load_like_row_walk(self, tmp_path, cell):
+        assert_loads_like_row_walk(tmp_path / "odd.csv", [["a", "label"], ["1", "0"], [cell, cell]], "label")
 
 
 class TestNormalizer:
@@ -209,6 +279,28 @@ class TestSynthScenario:
     def test_train_split_is_anomaly_free(self):
         train, _ = tsdata.synth_scenario("drift_noise", 400, 13)
         assert int(train.labels.sum()) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(BadParams, match="seed"):
+            tsdata.synth_scenario("clean", 300, seed)
+
+    def test_shift_longer_than_its_room_rejected(self):
+        with pytest.raises(BadParams, match="does not fit"):
+            tsdata.synth_scenario("drift_noise", 300, 1, tsdata.SynthParams(shift_len=1000))
+        # T=300 leaves one start for a 99-step shift between its margins, and none for 100 steps
+        _, test = tsdata.synth_scenario("clean", 300, 1, tsdata.SynthParams(shift_len=99, n_shifts=1, n_spikes=0))
+        assert test.labels[100:199].all()
+        with pytest.raises(BadParams, match="does not fit"):
+            tsdata.synth_scenario("clean", 300, 1, tsdata.SynthParams(shift_len=100, n_shifts=1))
+        # no shifts asked for: nothing to place, so any length is fine
+        tsdata.synth_scenario("clean", 300, 1, tsdata.SynthParams(shift_len=1000, n_shifts=0, n_spikes=0))
+
+    @pytest.mark.parametrize("field", ["spike_mag", "shift_mag", "drift_slope", "noise_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knob_named(self, field, value):
+        with pytest.raises(BadParams, match=f"{field} must be finite"):
+            tsdata.SynthParams(**{field: value})
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
