@@ -11,12 +11,15 @@ first-occurrence tie breaking in assignments, and a stable sweep order.
 
 One kernel, _nearest, finds the nearest center for k-means (initial
 assignment and Lloyd sweeps), training assignment and detect. It ranks
-centers by ||c||^2 - 2 x.c from one matrix product and keeps a row's winner
-only when no other center lies within a proven rounding bound of it; every
-other row, and every query of at most _EXACT_BLOCK (row, center,
-coordinate) triples, is ranked by the exact broadcast of squared
+centers by ||c||^2 - 2 x.c from a matrix product per block of rows and keeps
+a row's winner only when no other center lies within a proven rounding bound
+of it; every other row, and every query of at most _EXACT_BLOCK (row,
+center, coordinate) triples, is ranked by the exact broadcast of squared
 differences. Its indices therefore equal the argmin of the exact squared
-distances bit for bit, whatever the BLAS or its thread count.
+distances bit for bit, whatever the BLAS, its thread count or the blocking.
+A row block holds at most _ROW_BLOCK (row, center) or (row, coordinate)
+entries, so a query of N rows needs O(N) memory for its answers plus a fixed
+workspace, however many centers it ranks.
 """
 from __future__ import annotations
 
@@ -36,6 +39,11 @@ KMEANS_MAX_ITER = 100
 # into row blocks of at most this many triples.
 _EXACT_BLOCK = 1 << 16
 
+# Largest (row, center) count ranked by one matrix product, and largest
+# (row, coordinate) count of one block of winner distances: the workspace of
+# a query stays fixed however many rows it has.
+_ROW_BLOCK = 1 << 18
+
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -44,6 +52,13 @@ def _broadcast_argmin(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Argmin over the exact broadcast squared distances (ties -> lowest index)."""
     diff = X[:, None, :] - centers[None, :, :]
     return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+
+
+def _row_blocks(n: int, per_row: int):
+    """Consecutive row slices of [0, n), each of at most _ROW_BLOCK // per_row
+    rows (at least one)."""
+    step = max(1, _ROW_BLOCK // max(1, per_row))
+    return (slice(s, s + step) for s in range(0, n, step))
 
 
 def _nearest(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -58,26 +73,32 @@ def _nearest(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     4 gamma_{d+2} R^2 of the row's minimum; the tolerance doubles that to
     cover its own rounding and adds an absolute term for underflow. A row with
     one candidate inside it keeps that index; rows with more, or with none
-    (NaN or overflow), are ranked exactly.
+    (NaN or overflow), are ranked exactly. The bound holds for any summation
+    order, so each row's answer is the same whichever row block computes it.
     """
     n, d = X.shape
     k = centers.shape[0]
     if n * k * d <= _EXACT_BLOCK:
         return _broadcast_argmin(X, centers)
     c2 = np.einsum("kd,kd->k", centers, centers)
-    g = X @ centers.T
-    g *= -2.0
-    g += c2
-    idx = np.argmin(g, axis=1)
-    r = np.sqrt(np.einsum("nd,nd->n", X, X)) + np.sqrt(c2.max())
+    c_max = np.sqrt(c2.max())
     gamma = (d + 2) * _UNIT_ROUNDOFF / (1.0 - (d + 2) * _UNIT_ROUNDOFF)
-    tol = 8.0 * (gamma * r * r + (d + 2) * _SMALLEST_SUBNORMAL)
-    bound = g[np.arange(n), idx] + tol
-    ambiguous = np.flatnonzero(np.count_nonzero(g <= bound[:, None], axis=1) != 1)
     step = max(1, _EXACT_BLOCK // (k * d))
-    for s in range(0, ambiguous.size, step):
-        rows = ambiguous[s : s + step]
-        idx[rows] = _broadcast_argmin(X[rows], centers)
+    idx = np.empty(n, dtype=np.intp)
+    for block in _row_blocks(n, k):
+        Xb = X[block]
+        g = Xb @ centers.T
+        g *= -2.0
+        g += c2
+        best = np.argmin(g, axis=1)
+        r = np.sqrt(np.einsum("nd,nd->n", Xb, Xb)) + c_max
+        tol = 8.0 * (gamma * r * r + (d + 2) * _SMALLEST_SUBNORMAL)
+        bound = g[np.arange(best.size), best] + tol
+        ambiguous = np.flatnonzero(np.count_nonzero(g <= bound[:, None], axis=1) != 1)
+        for s in range(0, ambiguous.size, step):
+            rows = ambiguous[s : s + step]
+            best[rows] = _broadcast_argmin(Xb[rows], centers)
+        idx[block] = best
     return idx
 
 
@@ -316,15 +337,19 @@ def nearest_center(centers: np.ndarray, z: np.ndarray) -> tuple[int, float]:
 def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest_center over rows of Z; returns (indices, distances).
 
-    The winner's distance is recomputed from its own difference vector, which
-    gives the same bits as the exact broadcast value."""
+    The winner's distance is recomputed from its own difference vector, one
+    row block at a time, which gives the same bits as the exact broadcast
+    value."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptySet("no centers to search")
     Z = np.asarray(Z, dtype=np.float64)
     idx = _nearest(Z, centers)
-    diff = Z - centers[idx]
-    return idx, np.sqrt(np.einsum("nd,nd->n", diff, diff))
+    dists = np.empty(Z.shape[0])
+    for block in _row_blocks(Z.shape[0], Z.shape[1]):
+        diff = Z[block] - centers[idx[block]]
+        dists[block] = np.einsum("nd,nd->n", diff, diff)
+    return idx, np.sqrt(dists, out=dists)
 
 
 def coverage_rate(latents: np.ndarray, centers: np.ndarray) -> float:

@@ -53,11 +53,18 @@ def _check_series(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _tolerant_mask(labels: np.ndarray, delta: int) -> np.ndarray:
-    """True at timesteps within delta of some anomaly timestep."""
+    """True at timesteps within delta of some anomaly timestep.
+
+    Counts anomalies in [t - delta, t + delta] from one prefix count. Every
+    delta of T - 1 or more marks the same steps, so a larger one is clamped
+    to T."""
     if delta == 0:
         return labels.astype(bool)
-    # "full" then centre-slice: mode="same" returns the kernel's length, not T, when T < 2 * delta + 1
-    return np.convolve(labels.astype(np.float64), np.ones(2 * delta + 1))[delta : delta + labels.size] > 0
+    T = labels.size
+    delta = min(int(delta), T)
+    before = np.concatenate([[0], np.cumsum(labels.astype(bool))])  # anomalies in [0, i)
+    t = np.arange(T)
+    return before[np.minimum(t + delta + 1, T)] > before[np.maximum(t - delta, 0)]
 
 
 def _delta_areas(scores: np.ndarray, labels: np.ndarray, delta_set) -> list[tuple[float, float]]:

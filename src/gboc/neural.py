@@ -28,11 +28,19 @@ ENCODE_BLOCK = 512
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    ex = np.abs(x)
-    np.negative(ex, out=ex)
-    np.exp(ex, out=ex)
-    den = 1 + ex
-    return np.where(x >= 0, 1 / den, ex / den)
+    """exp(min(x, 0)) / (1 + exp(-|x|)), computed in two fresh buffers.
+
+    exp sees only non-positive arguments, and each sign gets the bits of its
+    own branch, 1 / (1 + e^-x) or e^x / (1 + e^x). fmin maps NaN to 0, so a
+    NaN comes out as the NaN of exp(-|x|), as it does in the branch form."""
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1
+    out = np.fmin(x, 0.0)
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 @dataclass
@@ -168,10 +176,14 @@ def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
     holds the whole batch or at least ENCODE_BLOCK rows. A block of a few
     rows would go to BLAS's small-matrix or vector kernels, which round
     differently from its matrix kernel, and the latents would depend on B.
+    Each block writes its latents into the one (B, L*h) result.
     """
     X = np.asarray(X, dtype=np.float64)
-    blocks = np.array_split(X, max(1, X.shape[0] // ENCODE_BLOCK))
-    return np.concatenate([_forward_encoder(enc, block, keep_cache=False)[0] for block in blocks])
+    n_blocks = max(1, X.shape[0] // ENCODE_BLOCK)
+    out = np.empty((X.shape[0], enc.latent_size))
+    for x_block, z_block in zip(np.array_split(X, n_blocks), np.array_split(out, n_blocks)):
+        z_block[...] = _forward_encoder(enc, x_block, keep_cache=False)[0]
+    return out
 
 
 def decode_batch(dec: DecoderParams, Z: np.ndarray) -> np.ndarray:
@@ -197,7 +209,8 @@ def _backward_encoder(
         dW = np.zeros_like(layer.W)
         dU = np.zeros_like(layer.U)
         db = np.zeros_like(layer.b)
-        d_inputs = np.zeros((B, w, seq.shape[2]))
+        # the input windows take no gradient, so the bottom layer skips d_inputs
+        d_inputs = np.zeros((B, w, seq.shape[2])) if l > 0 else None
         dh_next = dZ[:, l * h : (l + 1) * h].copy()
         dc_next = np.zeros((B, h))
         for t in range(w - 1, -1, -1):
@@ -214,7 +227,8 @@ def _backward_encoder(
             dW += da.T @ xt
             dU += da.T @ h_prev
             db += da.sum(axis=0)
-            d_inputs[:, t, :] = da @ layer.W
+            if d_inputs is not None:
+                d_inputs[:, t, :] = da @ layer.W
             dh_next = da @ layer.U
             dc_next = dc * f
         grads[f"enc.l{l}.W"] = dW

@@ -46,6 +46,20 @@ class TestPipeline:
         assert rc == 0
         assert "VUS-PR" in capsys.readouterr().out
 
+    def test_eval_delta_beyond_the_series_equals_t_minus_1(self, small_pipeline, tmp_path, capsys):
+        per_delta = tmp_path / "per_delta.csv"
+        rc = cli.main(["eval", "--report", str(small_pipeline["report"]), "--delta-set", "0,10000000000",
+                       "--out", str(per_delta)])
+        assert rc == 0
+        longest = tmp_path / "longest.csv"
+        assert cli.main(["eval", "--report", str(small_pipeline["report"]), "--delta-set", "299",
+                         "--out", str(longest)]) == 0
+        capsys.readouterr()
+        huge_row = per_delta.read_text().splitlines()[2].split(",")
+        longest_row = longest.read_text().splitlines()[1].split(",")
+        assert huge_row[0] == "10000000000"
+        assert huge_row[1:] == longest_row[1:]
+
     def test_dump_balls(self, small_pipeline, tmp_path, capsys):
         out = tmp_path / "balls.csv"
         assert cli.main(["dump-balls", "--model", str(small_pipeline["model"]), "--out", str(out)]) == 0

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,14 +324,40 @@ class TestNearestCenter:
         with pytest.raises(EmptySet):
             granular.nearest_center(np.zeros((0, 2)), np.zeros(2))
 
-    @given(center_queries())
-    @settings(max_examples=150, deadline=None)
-    def test_bitwise_equal_to_pairwise_oracle(self, query):
-        centers, Z = query
+    @staticmethod
+    def assert_bitwise_equal_to_pairwise_oracle(centers, Z):
         idx, dists = granular.nearest_centers(centers, Z)
         want_idx, want_dists = pairwise_nearest(centers, Z)
         assert np.array_equal(idx, want_idx)
         assert dists.tobytes() == want_dists.tobytes()
+
+    @given(center_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_pairwise_oracle(self, query):
+        self.assert_bitwise_equal_to_pairwise_oracle(*query)
+
+    @given(center_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_pairwise_oracle_across_row_blocks(self, query):
+        # a budget of a few dozen entries puts one or a few rows in each
+        # block, so every query above the exact gate crosses many boundaries
+        with mock.patch.object(granular, "_ROW_BLOCK", 40):
+            self.assert_bitwise_equal_to_pairwise_oracle(*query)
+
+    def test_memory_is_answers_plus_a_fixed_workspace(self):
+        # 20000 detect-sized latents against 160 centers, whose whole matrix
+        # product would take 25.6 MB
+        rng = np.random.default_rng(61)
+        Z, centers = rng.normal(size=(20000, 64)), rng.normal(size=(160, 64))
+        tracemalloc.start()
+        try:
+            granular.nearest_centers(centers, Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        answers = 2 * Z.shape[0] * 8  # indices and distances
+        workspace = 4 * granular._ROW_BLOCK * 8  # a few blocks of float64 entries
+        assert peak < answers + workspace
 
     def test_converged_kmeans_assigns_each_point_its_oracle_nearest_center(self):
         # far from the origin, so the matrix-product ranking is at its least

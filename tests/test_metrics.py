@@ -223,7 +223,9 @@ class TestEvaluate:
         scores = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))) / 4.0
         labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
         assume(0 < labels.sum() < n)
-        delta_set = tuple(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=5)))
+        # small deltas, plus two far beyond the series that the mask clamps to T
+        deltas = st.integers(0, 6) | st.sampled_from([10**10, 2**62])
+        delta_set = tuple(data.draw(st.lists(deltas, min_size=1, max_size=5)))
         result = metrics.evaluate(scores, labels, labels, delta_set=delta_set, sigma=1.0)
         assert [r.delta for r in result.per_delta] == list(delta_set)
         for row in result.per_delta:

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ class TestEncode:
         enc = neural.init_encoder(d, h, layers, rng)
         X = rng.normal(size=(n, w, d))
         assert neural.encode_batch(enc, X).tobytes() == unblocked_encode(enc, X).tobytes()
+
+    def test_memory_is_output_plus_one_block_workspace(self):
+        B, w, d, h, layers = 40000, 2, 1, 32, 2
+        rng = np.random.default_rng(19)
+        enc = neural.init_encoder(d, h, layers, rng)
+        X = rng.normal(size=(B, w, d))
+        tracemalloc.start()
+        try:
+            neural.encode_batch(enc, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = B * layers * h * 8
+        # a block has fewer than 2 * BLOCK rows; it holds every layer's output
+        # sequence and at most eight gate-width (4h) arrays at a time
+        workspace = 2 * BLOCK * (layers * w * h + 8 * 4 * h) * 8
+        assert workspace < output
+        assert peak < output + workspace
 
 
 class TestSigmoid:
