@@ -8,6 +8,7 @@ message on any module error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,14 +36,15 @@ def _add_synth(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--length", type=int, default=2000, help="timesteps per split")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--spikes", type=int, default=8)
-    p.add_argument("--shifts", type=int, default=2)
-    p.add_argument("--spike-mag", type=float, default=5.0)
-    p.add_argument("--shift-len", type=int, default=20)
-    p.add_argument("--shift-mag", type=float, default=3.0)
-    p.add_argument("--drift-slope", type=float, default=0.001)
-    p.add_argument("--noise-std", type=float, default=0.3)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--spikes", dest="n_spikes", metavar="SPIKES", type=int)
+    p.add_argument("--shifts", dest="n_shifts", metavar="SHIFTS", type=int)
+    p.add_argument("--spike-mag", type=float)
+    p.add_argument("--shift-len", type=int)
+    p.add_argument("--shift-mag", type=float)
+    p.add_argument("--drift-slope", type=float)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--channels", dest="n_channels", metavar="CHANNELS", type=int)
+    p.set_defaults(func=cmd_synth, **dataclasses.asdict(tsdata.SynthParams()))
 
 
 def _add_train(sub: argparse._SubParsersAction) -> None:
@@ -51,23 +53,24 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--label-col", default=None, help="label column to drop from the training features")
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--out", default=None, help="optional training-curve CSV")
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--decoder-hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--smin", type=int, default=8)
-    p.add_argument("--mu", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--rebuild-every", type=int, default=1)
+    p.add_argument("--window", type=int)
+    p.add_argument("--stride", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--decoder-hidden", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--smin", dest="s_min", metavar="SMIN", type=int)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rebuild-every", type=int)
     p.add_argument("--gbc-off", action="store_true", help="replace balls with plain k-means centers")
     p.add_argument("--prune-off", action="store_true", help="keep every ball, no radius pruning")
     p.add_argument("--assign-unpruned", action="store_true", help="align against unpruned balls during training")
     p.add_argument("--quiet", action="store_true")
+    p.set_defaults(func=cmd_train, **dataclasses.asdict(TrainConfig()))
 
 
 def _add_detect(sub: argparse._SubParsersAction) -> None:
@@ -79,34 +82,35 @@ def _add_detect(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--scores-only", action="store_true", help="emit t,point_score only (no thresholding)")
     p.add_argument("--threshold-fit", choices=("self", "validation"), default="self")
     p.add_argument("--val-csv", default=None, help="normal series for --threshold-fit validation")
+    p.set_defaults(func=cmd_detect)
 
 
 def _add_eval(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("eval", help="evaluate a detect report against its labels")
     p.add_argument("--report", required=True, help="report CSV produced by detect")
-    p.add_argument("--delta-set", default="0,1,2,3,4")
+    p.add_argument("--delta-set", default=",".join(map(str, metrics.DEFAULT_DELTA_SET)))
     p.add_argument("--sigma-aff", type=float, default=None, help="affiliation bandwidth (default: window/2)")
-    p.add_argument("--window", type=int, default=2, help="window length used to derive the default bandwidth")
+    p.add_argument(
+        "--window", type=int, default=TrainConfig.window, help="window length used to derive the default bandwidth"
+    )
     p.add_argument("--out", default=None, help="optional per-delta CSV")
+    p.set_defaults(func=cmd_eval)
 
 
 def _add_dump_balls(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("dump-balls", help="write the model's centers and radii as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_dump_balls)
+
+
+def _from_args(cls, args: argparse.Namespace):
+    """An options dataclass built from the parsed fields of the same names."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    params = tsdata.SynthParams(
-        n_spikes=args.spikes,
-        n_shifts=args.shifts,
-        spike_mag=args.spike_mag,
-        shift_len=args.shift_len,
-        shift_mag=args.shift_mag,
-        drift_slope=args.drift_slope,
-        noise_std=args.noise_std,
-        n_channels=args.channels,
-    )
+    params = _from_args(tsdata.SynthParams, args)
     train_ts, test_ts = tsdata.synth_scenario(args.kind, args.length, args.seed, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,26 +133,9 @@ def _check_out_dirs(*paths: str | None) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    cfg = _from_args(TrainConfig, args)
     _check_out_dirs(args.model, args.out)
     ts = tsdata.load_csv(args.train_csv, label_column=args.label_col)
-    cfg = TrainConfig(
-        window=args.window,
-        stride=args.stride,
-        layers=args.layers,
-        hidden=args.hidden,
-        decoder_hidden=args.decoder_hidden,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        lam=args.lam,
-        s_min=args.smin,
-        mu=args.mu,
-        seed=args.seed,
-        rebuild_every=args.rebuild_every,
-        gbc_off=args.gbc_off,
-        prune_off=args.prune_off,
-        assign_unpruned=args.assign_unpruned,
-    )
     model, reports = train(ts, cfg, verbose=not args.quiet)
     save_model(model, args.model)
     if args.out:
@@ -222,9 +209,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"VUS-ROC         {result.vus_roc:.6f}")
     print(f"Affiliation-F1  {af}")
     if args.out:
-        header = ["delta", "auc_pr", "auc_roc"]
-        columns = [np.array([getattr(r, name) for r in result.per_delta]) for name in header]
-        tsdata.write_csv(args.out, header, columns)
+        rows = result.per_delta
+        # an object column keeps each delta the Python int given, past 2**63 too
+        columns = [np.array([r.delta for r in rows], dtype=object), np.array([r.auc_pr for r in rows]),
+                   np.array([r.auc_roc for r in rows])]
+        tsdata.write_csv(args.out, ["delta", "auc_pr", "auc_roc"], columns)
     return 0
 
 
@@ -250,21 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "detect": cmd_detect,
-    "eval": cmd_eval,
-    "dump-balls": cmd_dump_balls,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (GbocError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.func(args)
+    except (GbocError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -278,12 +278,7 @@ def kmeans_balls(latents: np.ndarray, seed: int) -> tuple[list[GranularBall], np
     return balls, rng
 
 
-def generate(
-    latents: np.ndarray,
-    s_min: int = 8,
-    seed: int = 0,
-    require_child_support: bool = True,
-) -> GbSet:
+def generate(latents: np.ndarray, s_min: int = 8, seed: int = 0) -> GbSet:
     """Build the unpruned ball set over N latent vectors.
 
     Starts from the kmeans_balls clusters, all open. Each sweep passes the
@@ -291,8 +286,7 @@ def generate(
     parent in place, appends the second child, and opens both children for
     the next sweep. A ball try_split keeps is settled for good, so no ball is
     tried twice and each sweep is one level of the split tree. Balls with
-    fewer than 2 * min_child members (see try_split) are kept without a
-    k-means.
+    fewer than 2 * s_min members (see try_split) are kept without a k-means.
     """
     latents = np.asarray(latents, dtype=np.float64)
     balls, rng = kmeans_balls(latents, seed)
@@ -300,7 +294,7 @@ def generate(
     while open_balls:
         children = []
         for j in open_balls:
-            result = try_split(balls[j], latents, s_min, rng, require_child_support)
+            result = try_split(balls[j], latents, s_min, rng)
             if result is not None:
                 balls[j] = result[0]
                 children += [j, len(balls)]

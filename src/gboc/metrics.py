@@ -122,11 +122,19 @@ def label_intervals(labels: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _dist_to_intervals(points: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest interval (0 inside)."""
-    below = intervals[None, :, 0] - points[:, None]
-    above = points[:, None] - intervals[None, :, 1]
-    d = np.maximum(np.maximum(below, above), 0.0)
-    return d.min(axis=1)
+    """Distance from each point to the nearest (start, end) interval, 0 inside.
+
+    One binary search per point over the intervals sorted by start: of those
+    starting at or before the point, the nearest is the one ending last; of
+    those starting after it, the first. Memory is linear in points plus
+    intervals."""
+    intervals = intervals[np.argsort(intervals[:, 0], kind="stable")]
+    starts = intervals[:, 0]
+    last_end = np.maximum.accumulate(intervals[:, 1])
+    k = np.searchsorted(starts, points, side="right")  # intervals starting at or before each point
+    before = np.where(k > 0, np.maximum(points - last_end[np.maximum(k - 1, 0)], 0.0), np.inf)
+    after = np.where(k < starts.size, starts[np.minimum(k, starts.size - 1)] - points, np.inf)
+    return np.minimum(before, after)
 
 
 def _kernel_denominator(sigma: float) -> float:
@@ -159,7 +167,7 @@ def affiliation_f1(
     precision = float(np.mean(np.exp(-(d_pred**2) / denom)))
 
     true_ts = np.concatenate([np.arange(s, e + 1) for s, e in intervals]).astype(np.float64)
-    d_true = np.abs(true_ts[:, None] - pred_ts[None, :]).min(axis=1)
+    d_true = _dist_to_intervals(true_ts, np.column_stack([pred_ts, pred_ts]))  # predictions as 1-step intervals
     recall = float(np.mean(np.exp(-(d_true**2) / denom)))
 
     if precision + recall == 0.0:

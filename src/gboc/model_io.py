@@ -3,9 +3,9 @@
 Layout (all little-endian): magic "GBOC", u32 version, u32 dims
 (window, stride, channels, layers, hidden, latent), normalization mean/std,
 encoder gate matrices per layer (W, U, b), decoder (hidden width, W1, b1,
-W2, b2), center count and matrix, radii, then the training-config snapshot.
-Every real is a 64-bit IEEE-754 float, so a save -> load -> save round trip
-is byte-identical.
+W2, b2), center count and matrix, radii, then the training-config snapshot
+(_CONFIG_TAIL). Every real is a 64-bit IEEE-754 float, so a save -> load ->
+save round trip is byte-identical.
 """
 from __future__ import annotations
 
@@ -22,6 +22,17 @@ from .tsdata import NormStats
 MAGIC = b"GBOC"
 FORMAT_VERSION = 1
 
+# The TrainConfig fields the file stores after the radii, in file order, with
+# the _Writer/_Reader method of each; window, stride, layers, hidden and
+# decoder_hidden are read back from the network dimensions. A flag is a u32
+# that holds 0 or 1. Format v1 ends with one more flag, a retired
+# child-support switch, that always holds 1.
+_CONFIG_TAIL = (
+    ("epochs", "u32"), ("batch_size", "u32"), ("lr", "f64"), ("lam", "f64"), ("s_min", "u32"), ("mu", "f64"),
+    ("seed", "u64"), ("rebuild_every", "u32"), ("gbc_off", "flag"), ("prune_off", "flag"),
+    ("assign_unpruned", "flag"),
+)
+
 
 class _Writer:
     def __init__(self):
@@ -37,6 +48,11 @@ class _Writer:
 
     def f64(self, v: float) -> None:
         self.parts.append(struct.pack("<d", v))
+
+    def flag(self, v: bool) -> None:
+        if v not in (0, 1):
+            raise InvariantViolation(f"flag {v!r} is not 0 or 1")
+        self.u32(int(v))
 
     def array(self, a: np.ndarray) -> None:
         self.parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
@@ -65,6 +81,12 @@ class _Reader:
 
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
+
+    def flag(self) -> bool:
+        v = self.u32()
+        if v not in (0, 1):
+            raise InvariantViolation(f"flag slot at offset {self.off - 4} holds {v}, not 0 or 1")
+        return bool(v)
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
         count = int(np.prod(shape)) if shape else 1
@@ -102,19 +124,9 @@ def _dump(model: GbocModel) -> bytes:
     w.u32(model.centers.shape[0])
     w.array(model.centers)
     w.array(model.radii)
-    cfg = model.config
-    w.u32(cfg.epochs)
-    w.u32(cfg.batch_size)
-    w.f64(cfg.lr)
-    w.f64(cfg.lam)
-    w.u32(cfg.s_min)
-    w.f64(cfg.mu)
-    w.u64(cfg.seed)
-    w.u32(cfg.rebuild_every)
-    w.u32(int(cfg.gbc_off))
-    w.u32(int(cfg.prune_off))
-    w.u32(int(cfg.assign_unpruned))
-    w.u32(int(cfg.require_child_support))
+    for name, kind in _CONFIG_TAIL:
+        getattr(w, kind)(getattr(model.config, name))
+    w.flag(True)  # the retired child-support switch
     return w.bytes()
 
 
@@ -153,24 +165,11 @@ def _parse(buf: bytes) -> GbocModel:
         raise InvariantViolation("model must retain at least one center")
     centers = r.array((m, latent))
     radii = r.array((m,))
+    tail = {name: getattr(r, kind)() for name, kind in _CONFIG_TAIL}
+    if not r.flag():
+        raise InvariantViolation("the retired child-support flag must hold 1")
     cfg = TrainConfig(
-        window=window,
-        stride=stride,
-        layers=layers,
-        hidden=hidden,
-        decoder_hidden=dec_hidden,
-        epochs=r.u32(),
-        batch_size=r.u32(),
-        lr=r.f64(),
-        lam=r.f64(),
-        s_min=r.u32(),
-        mu=r.f64(),
-        seed=r.u64(),
-        rebuild_every=r.u32(),
-        gbc_off=bool(r.u32()),
-        prune_off=bool(r.u32()),
-        assign_unpruned=bool(r.u32()),
-        require_child_support=bool(r.u32()),
+        window=window, stride=stride, layers=layers, hidden=hidden, decoder_hidden=dec_hidden, **tail
     )
     r.done()
     model = GbocModel(

@@ -38,7 +38,6 @@ class TrainConfig:
     gbc_off: bool = False
     prune_off: bool = False
     assign_unpruned: bool = False
-    require_child_support: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -102,10 +101,7 @@ def _build_balls(
         balls, _ = granular.kmeans_balls(latents, _ball_seed(cfg.seed, epoch))
         gset = granular.GbSet(balls=balls)
         return gset, gset, len(balls), len(balls)
-    unpruned = granular.generate(
-        latents, s_min=cfg.s_min, seed=_ball_seed(cfg.seed, epoch),
-        require_child_support=cfg.require_child_support,
-    )
+    unpruned = granular.generate(latents, s_min=cfg.s_min, seed=_ball_seed(cfg.seed, epoch))
     before = len(unpruned.balls)
     if cfg.prune_off:
         return unpruned, unpruned, before, before

@@ -252,6 +252,8 @@ class SynthParams:
             raise BadParams("spike and shift magnitudes must be positive")
         if self.shift_len <= 0 or self.n_channels <= 0:
             raise BadParams("shift length and channel count must be positive")
+        if self.n_channels >= 2**32:
+            raise BadParams(f"channel count must be < 2**32, got {self.n_channels}")
         if self.n_spikes < 0 or self.n_shifts < 0:
             raise BadParams("anomaly counts must be nonnegative")
         if self.drift_slope < 0 or self.noise_std < 0:
@@ -290,8 +292,8 @@ def synth_scenario(
     """
     if kind not in SCENARIO_KINDS:
         raise BadParams(f"unknown scenario kind {kind!r}, expected one of {SCENARIO_KINDS}")
-    if T < 200:
-        raise BadParams(f"T must be >= 200, got {T}")
+    if not 200 <= T < 2**32:
+        raise BadParams(f"T must be in [200, 2**32), got {T}")
     if not 0 <= seed < 2**64:
         raise BadParams(f"seed must be in [0, 2**64), got {seed}")
     params = params or SynthParams()

@@ -223,6 +223,31 @@ def brute_force_vus_roc(scores, labels, delta_set) -> float:
     return float(np.mean(areas))
 
 
+def broadcast_dist_to_intervals(points: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest interval (0 inside), from the
+    full (points x intervals) table."""
+    below = intervals[None, :, 0] - points[:, None]
+    above = points[:, None] - intervals[None, :, 1]
+    return np.maximum(np.maximum(below, above), 0.0).min(axis=1)
+
+
+def broadcast_affiliation_f1(pred_flags, intervals, sigma: float) -> float:
+    """Gaussian-kernel affiliation F1 from the (flags x intervals) and
+    (anomalies x flags) distance tables, in the metric's operation order."""
+    denom = 2.0 * sigma * sigma
+    pred_ts = np.where(np.asarray(pred_flags, dtype=np.int64) == 1)[0].astype(np.float64)
+    if pred_ts.size == 0 or not intervals:
+        return float("nan")
+    d_pred = broadcast_dist_to_intervals(pred_ts, np.asarray(intervals, dtype=np.float64))
+    precision = float(np.mean(np.exp(-(d_pred**2) / denom)))
+    true_ts = np.concatenate([np.arange(s, e + 1) for s, e in intervals]).astype(np.float64)
+    d_true = np.abs(true_ts[:, None] - pred_ts[None, :]).min(axis=1)
+    recall = float(np.mean(np.exp(-(d_true**2) / denom)))
+    if precision + recall == 0.0:
+        return float("nan")
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def row_walk_load_csv(path, label_column: str | None = None) -> tsdata.TimeSeries:
     """CSV to TimeSeries one cell at a time with float(), raising the first
     bad row or cell's error as soon as the walk reaches it."""

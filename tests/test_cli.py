@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_report, run_cli_pipeline
-from gboc import cli, model_io
+from gboc import cli, model_io, tsdata
+from gboc.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,19 @@ class TestPipeline:
         longest_row = longest.read_text().splitlines()[1].split(",")
         assert huge_row[0] == "10000000000"
         assert huge_row[1:] == longest_row[1:]
+
+    # one huge delta per run: alongside small ones, a list of Python ints
+    # from 2**63 to 2**64 - 1 becomes a NumPy float or uint64 column
+    @pytest.mark.parametrize("delta", [2**63 - 1, 2**63, 2**64 - 1, 10**20])
+    def test_eval_per_delta_csv_prints_each_delta_as_given(self, small_pipeline, tmp_path, capsys, delta):
+        per_delta = tmp_path / "per_delta.csv"
+        rc = cli.main(["eval", "--report", str(small_pipeline["report"]), "--delta-set", f"0,299,{delta}",
+                       "--out", str(per_delta)])
+        assert rc == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in per_delta.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0", "299", str(delta)]
+        assert rows[2][1:] == rows[1][1:]  # every delta of T - 1 or more credits the same steps
 
     def test_dump_balls(self, small_pipeline, tmp_path, capsys):
         out = tmp_path / "balls.csv"
@@ -353,6 +368,141 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:") and "sigma" in captured.err
 
+    def test_memory_error_is_a_clean_error(self, small_pipeline, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "train", out_of_memory)
+        argv = ["train", "--train-csv", str(small_pipeline["data"] / "train.csv"), "--label-col", "label",
+                "--model", str(tmp_path / "m.gboc")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+# flag -> (options field, a value other than the field's default); a flag
+# with value True takes no argument
+TRAIN_FLAGS = {
+    "--window": ("window", 3),
+    "--stride": ("stride", 2),
+    "--layers": ("layers", 1),
+    "--hidden": ("hidden", 3),
+    "--decoder-hidden": ("decoder_hidden", 5),
+    "--epochs": ("epochs", 2),
+    "--batch": ("batch_size", 7),
+    "--lr": ("lr", 0.003),
+    "--lambda": ("lam", 0.25),
+    "--smin": ("s_min", 5),
+    "--mu": ("mu", 2.5),
+    "--seed": ("seed", 11),
+    "--rebuild-every": ("rebuild_every", 2),
+    "--gbc-off": ("gbc_off", True),
+    "--prune-off": ("prune_off", True),
+    "--assign-unpruned": ("assign_unpruned", True),
+}
+SYNTH_FLAGS = {
+    "--spikes": ("n_spikes", 3),
+    "--shifts": ("n_shifts", 1),
+    "--spike-mag": ("spike_mag", 4.0),
+    "--shift-len": ("shift_len", 10),
+    "--shift-mag": ("shift_mag", 2.0),
+    "--drift-slope": ("drift_slope", 0.002),
+    "--noise-std": ("noise_std", 0.1),
+    "--channels": ("n_channels", 2),
+}
+
+
+def _flag_argv(flags: dict) -> list[str]:
+    argv = []
+    for flag, (_, value) in flags.items():
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+def _expected_options(cls, flags: dict):
+    expected = {name: value for name, value in flags.values()}
+    assert set(expected) == {f.name for f in dataclasses.fields(cls)}  # every field has a flag
+    defaults = dataclasses.asdict(cls())
+    assert all(value != defaults[name] for name, value in expected.items())
+    return cls(**expected)
+
+
+class TestOptionsReachTheirFields:
+    def test_every_train_flag_reaches_its_config_field(self, small_pipeline, tmp_path, capsys):
+        model = tmp_path / "m.gboc"
+        argv = ["train", "--train-csv", str(small_pipeline["data"] / "train.csv"), "--label-col", "label",
+                "--model", str(model), "--quiet", *_flag_argv(TRAIN_FLAGS)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert model_io.load_model(model).config == _expected_options(TrainConfig, TRAIN_FLAGS)
+
+    def test_every_synth_flag_reaches_its_params_field(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        original = tsdata.synth_scenario
+
+        def recording(kind, T, seed, params):
+            seen.append(params)
+            return original(kind, T, seed, params)
+
+        monkeypatch.setattr(tsdata, "synth_scenario", recording)
+        argv = ["synth", "--kind", "drift_noise", "--length", "300", "--out", str(tmp_path), *_flag_argv(SYNTH_FLAGS)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert seen == [_expected_options(tsdata.SynthParams, SYNTH_FLAGS)]
+
+
+@pytest.fixture(scope="module")
+def t200_pipeline(tmp_path_factory):
+    """A T=200, one-epoch pipeline whose files seed the valid argv of every command."""
+    return run_cli_pipeline(tmp_path_factory.mktemp("cli_t200"), "noise", seed=7, length=200, epochs=1)
+
+
+def _valid_argv(command: str, files: dict) -> dict[str, str | None]:
+    """A valid argv of the command as {flag: value}, value None for a switch."""
+    data, model, report = str(files["data"]), str(files["model"]), str(files["report"])
+    return {
+        "synth": {"--kind": "clean", "--length": "200", "--seed": "3", "--out": "synth_out", "--spikes": "8",
+                  "--shifts": "2", "--spike-mag": "5", "--shift-len": "20", "--shift-mag": "3",
+                  "--drift-slope": "0.001", "--noise-std": "0.3", "--channels": "1"},
+        "train": {"--train-csv": f"{data}/train.csv", "--label-col": "label", "--model": "m.gboc",
+                  "--out": "curve.csv", "--window": "2", "--stride": "1", "--layers": "2", "--hidden": "32",
+                  "--decoder-hidden": "64", "--epochs": "1", "--batch": "32", "--lr": "1e-4", "--lambda": "0.5",
+                  "--smin": "8", "--mu": "2", "--seed": "1", "--rebuild-every": "1", "--quiet": None},
+        "detect": {"--test-csv": f"{data}/test.csv", "--label-col": "label", "--model": model,
+                   "--out": "report.csv", "--threshold-fit": "validation", "--val-csv": f"{data}/train.csv"},
+        "eval": {"--report": report, "--delta-set": "0,1", "--sigma-aff": "1", "--window": "2",
+                 "--out": "per_delta.csv"},
+        "dump-balls": {"--model": model, "--out": "balls.csv"},
+    }[command]
+
+
+def _join(command: str, flags: dict[str, str | None]) -> list[str]:
+    return [command, *(x for flag, value in flags.items() for x in (flag, value) if x is not None)]
+
+
+ODD_VALUES = ("", "x", "-1", "0", "0.5", "nan", "inf", "1e400", "18446744073709551616")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "detect", "eval", "dump-balls"])
+def test_one_odd_flag_value_exits_cleanly(t200_pipeline, tmp_path, capsys, monkeypatch, command):
+    # every flag value of a valid argv replaced, in turn, by each odd value:
+    # exit 0, exit 1 with error:, or argparse's usage error with exit 2
+    monkeypatch.chdir(tmp_path)
+    flags = _valid_argv(command, t200_pipeline)
+    assert cli.main(_join(command, flags)) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    failures = []
+    for flag in [f for f, value in flags.items() if value is not None]:
+        for odd in ODD_VALUES:
+            try:
+                rc = cli.main(_join(command, {**flags, flag: odd}))
+            except SystemExit as exc:
+                rc = exc.code
+            except Exception as exc:
+                failures.append(f"{flag} {odd!r}: raised {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            usage_error = rc == 2 and err.startswith("usage:") and "error:" in err
+            if not (rc == 0 or (rc == 1 and err.startswith("error:")) or usage_error) or "Traceback" in err:
+                failures.append(f"{flag} {odd!r}: exit {rc}, stderr {err[-300:]!r}")
+    assert not failures, "\n".join(failures)
 
 class TestSynth:
     def test_writes_both_files_with_labels(self, tmp_path, capsys):

@@ -203,14 +203,12 @@ class TestGenerate:
         keys = [x.tobytes() for x in seen]
         assert len(set(keys)) == len(keys)
 
-    @pytest.mark.parametrize("s_min,require_child_support,floor", [(8, True, 16), (2, False, 4)])
-    def test_no_two_means_on_a_ball_too_small_for_two_children(
-        self, monkeypatch, s_min, require_child_support, floor
-    ):
+    @pytest.mark.parametrize("s_min,floor", [(8, 16), (2, 4)])
+    def test_no_two_means_on_a_ball_too_small_for_two_children(self, monkeypatch, s_min, floor):
         rng = np.random.default_rng(17)
         pts = np.concatenate([rng.normal(0, 1, size=(300, 2)), rng.normal(8, 0.3, size=(100, 2))])
         seen = self.two_means_inputs(monkeypatch)
-        granular.generate(pts, s_min=s_min, seed=5, require_child_support=require_child_support)
+        granular.generate(pts, s_min=s_min, seed=5)
         assert seen
         assert min(len(x) for x in seen) >= floor
 
@@ -238,13 +236,12 @@ def _degenerate_cloud(kind: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["all_equal", "two_values", "below_s_min", "single"])
-@pytest.mark.parametrize("require_child_support", [True, False])
-def test_degenerate_cloud_builds_a_partition(kind, require_child_support):
+def test_degenerate_cloud_builds_a_partition(kind):
     # the latents a collapsed encoder produces: the build either refuses
     # with a typed error or yields a partition, and pruning keeps a ball
     latents = _degenerate_cloud(kind)
     try:
-        gset = granular.generate(latents, s_min=8, seed=3, require_child_support=require_child_support)
+        gset = granular.generate(latents, s_min=8, seed=3)
         pruned = granular.prune(gset)
     except GbocError:
         return

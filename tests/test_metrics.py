@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from gboc import metrics
 from gboc.errors import BadParams, DegenerateLabels, NoAnomalies
-from oracles import brute_force_vus_pr, brute_force_vus_roc
+from oracles import broadcast_affiliation_f1, broadcast_dist_to_intervals, brute_force_vus_pr, brute_force_vus_roc
 
 
 def perfect_fixture(T=50, anomalies=(10, 30)):
@@ -192,6 +194,49 @@ class TestAffiliation:
     def test_sigma_must_give_a_positive_finite_kernel_width(self, sigma):
         with pytest.raises(BadParams):
             metrics.affiliation_f1(np.ones(3, dtype=np.int64), [(0, 0)], sigma)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_broadcast_oracle_bitwise(self, data):
+        T = data.draw(st.integers(1, 80))
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=T, max_size=T)), dtype=np.int64)
+        flags = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=T, max_size=T)), dtype=np.int64)
+        sigma = data.draw(st.sampled_from([0.5, 1.0, 2.5, 40.0]))
+        intervals = metrics.label_intervals(labels)
+        got = metrics.affiliation_f1(flags, intervals, sigma)
+        want = broadcast_affiliation_f1(flags, intervals, sigma)
+        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_distance_of_unsorted_overlapping_intervals(self, data):
+        bounds = data.draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 30)), min_size=1, max_size=12))
+        intervals = np.array([(s, s + n) for s, n in bounds], dtype=np.float64)
+        points = np.array(data.draw(st.lists(st.integers(-100, 100), max_size=30)), dtype=np.float64)
+        got = metrics._dist_to_intervals(points, intervals)
+        assert np.array_equal(got, broadcast_dist_to_intervals(points, intervals))
+
+    def test_memory_is_linear_in_labels_and_flags(self):
+        # 10% labels and 10% flags on T steps; the tables the broadcast
+        # distances build would take 8 * A * P bytes, 32 MB here
+        T = 20_000
+        rng = np.random.default_rng(41)
+        labels = (rng.random(T) < 0.1).astype(np.int64)
+        flags = (rng.random(T) < 0.1).astype(np.int64)
+        intervals = metrics.label_intervals(labels)
+        A, P, I = int(labels.sum()), int(flags.sum()), len(intervals)
+        tracemalloc.start()
+        try:
+            metrics.affiliation_f1(flags, intervals, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most the int64 copy and mask of the flags (9 bytes a step), and
+        # eight float64 or int64 arrays each of the flags, the anomalies and
+        # the interval bounds alive at once, plus the per-interval ranges
+        bound = 9 * T + 8 * 8 * (P + A + 2 * I) + 200 * I
+        assert peak <= bound, (peak, bound)
+        assert bound < 8 * A * P / 4
 
 
 class TestLabelIntervals:

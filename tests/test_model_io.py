@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -142,6 +143,30 @@ class TestRejection:
     def test_missing_path(self, tmp_path):
         with pytest.raises(MissingFile):
             model_io.load_model(tmp_path / "absent.gboc")
+
+    # the tail ends with the gbc_off, prune_off, assign_unpruned and retired
+    # child-support flags, one u32 each
+    @pytest.mark.parametrize(
+        "from_end", [16, 12, 8, 4], ids=["gbc_off", "prune_off", "assign_unpruned", "child_support"]
+    )
+    @pytest.mark.parametrize("value", [2, 7, 2**32 - 1])
+    def test_flag_slot_other_than_0_or_1_rejected(self, from_end, value):
+        blob = bytearray(model_io._dump(random_model(7)))
+        blob[len(blob) - from_end : len(blob) - from_end + 4] = struct.pack("<I", value)
+        with pytest.raises(InvariantViolation, match="flag"):
+            model_io._parse(bytes(blob))
+
+    def test_child_support_slot_always_1(self):
+        blob = model_io._dump(random_model(8))
+        assert blob[-4:] == struct.pack("<I", 1)
+        with pytest.raises(InvariantViolation, match="child-support"):
+            model_io._parse(blob[:-4] + struct.pack("<I", 0))
+
+    def test_config_tail_and_dimensions_store_every_config_field(self):
+        dims = {"window", "stride", "layers", "hidden", "decoder_hidden"}
+        tail = [name for name, _ in model_io._CONFIG_TAIL]
+        assert len(tail) == len(set(tail)) and not dims & set(tail)
+        assert dims | set(tail) == {f.name for f in dataclasses.fields(trainer.TrainConfig)}
 
     def test_every_truncation_and_byte_overwrite_is_a_typed_error(self):
         blob = model_io._dump(random_model(0))
