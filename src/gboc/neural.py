@@ -147,14 +147,21 @@ def _forward_encoder(
         for t in range(w):
             xt = seq[:, t, :]
             a = xt @ layer.W.T
-            a += hs @ layer.U.T
+            if t:
+                a += hs @ layer.U.T
             a += layer.b
             i_f = _sigmoid(a[:, : 2 * h])
             i, f = i_f[:, :h], i_f[:, h:]
             g = np.tanh(a[:, 2 * h : 3 * h])
             o = _sigmoid(a[:, 3 * h :])
-            c_new = f * cs
-            c_new += i * g
+            if t:
+                c_new = f * cs
+                c_new += i * g
+            else:
+                # from zero state; adding +0.0, as f * c_prev would, turns the
+                # -0.0 of an underflowed i times a negative g into +0.0
+                c_new = i * g
+                c_new += 0.0
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
             if keep_cache:
@@ -225,12 +232,16 @@ def _backward_encoder(
             da_g = dc * i * (1.0 - g * g)
             da = np.concatenate([da_i, da_f, da_g, da_o], axis=1)
             dW += da.T @ xt
-            dU += da.T @ h_prev
             db += da.sum(axis=0)
             if d_inputs is not None:
                 d_inputs[:, t, :] = da @ layer.W
-            dh_next = da @ layer.U
-            dc_next = dc * f
+            if t:
+                # at t = 0, h_prev is the zero initial state, which takes no
+                # gradient; dU, started at +0, never holds -0.0, so adding the
+                # zero product da.T @ h_prev would leave its bits as they are
+                dU += da.T @ h_prev
+                dh_next = da @ layer.U
+                dc_next = dc * f
         grads[f"enc.l{l}.W"] = dW
         grads[f"enc.l{l}.U"] = dU
         grads[f"enc.l{l}.b"] = db

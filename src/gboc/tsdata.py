@@ -98,10 +98,73 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     named, must contain only 0/1. A bad cell, or the first cell missing from
     a short row, is named as ``row R, column 'C'`` with data rows counted
     from 1.
+
+    np.loadtxt parses a plain file (see _parse_plain). Any other file, and a
+    plain one that np.loadtxt does not read as a valid series, goes through
+    the csv module one cell at a time, which gives the same series, names
+    the first bad row or cell, and reports a decode error as the csv
+    module's streaming read meets it.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"no such file: {path}")
+    values, labels, names = _parse_plain(path, label_column) or _parse_with_csv_module(path, label_column)
+    return TimeSeries(values=values, labels=None if labels is None else labels.astype(np.int64), channel_names=names)
+
+
+# np.loadtxt strips these around a number, as it does every str.isspace()
+# character, but float() rejects them
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_plain(
+    path: Path, label_column: str | None
+) -> tuple[np.ndarray, np.ndarray | None, list[str]] | None:
+    """Values, labels and channel names of a valid plain file, parsed by
+    np.loadtxt; None for any other file. A plain file's bad header raises
+    here the error the csv module's path would raise.
+
+    A plain file decodes and holds no quote, NUL, lone CR or blank line, and
+    no line longer than the csv module's field limit, so the csv module
+    would split it at every comma and line terminator. It holds none of
+    _LOADTXT_ONLY_SPACES either; then np.loadtxt reads each cell as float()
+    does, or rejects it (an underscore, a non-ASCII digit), and a rejected
+    cell sends the file to the csv module's path."""
+    try:
+        with path.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in '"\0' + _LOADTXT_ONLY_SPACES) or text.count("\r") != text.count("\r\n"):
+        return None
+    if text.startswith(("\n", "\r\n")) or "\n\n" in text or "\n\r\n" in text:
+        return None  # a blank line
+    # np.loadtxt and the header's strip() both drop the CR of a CRLF
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final terminator
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    feat_idx, label_idx = _column_indices(header, label_column)
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", dtype=np.float64, ndmin=2, comments=None, quotechar=None)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, len(header)):
+        return None
+    values = table[:, feat_idx]
+    labels = None if label_idx is None else table[:, label_idx]
+    if not np.all(np.isfinite(values)) or (labels is not None and np.any((labels != 0) & (labels != 1))):
+        return None
+    return values, labels, [header[i] for i in feat_idx]
+
+
+def _parse_with_csv_module(
+    path: Path, label_column: str | None
+) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Values, labels and channel names, from the csv module's split of the
+    file parsed one cell at a time."""
     try:
         with path.open(newline="") as fh:
             records = list(csv.reader(fh))
@@ -110,6 +173,16 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     if not records:
         raise ParseError("file is empty (no header row)")
     header = [h.strip() for h in records[0]]
+    feat_idx, label_idx = _column_indices(header, label_column)
+    data = records[1:]
+    if not data:
+        raise ParseError("file has a header but no data rows")
+    values, labels = _walk_rows(data, header, feat_idx, label_idx)
+    return values, labels, [header[i] for i in feat_idx]
+
+
+def _column_indices(header: list[str], label_column: str | None) -> tuple[list[int], int | None]:
+    """Indices of the feature columns and of the label column, if named."""
     label_idx: int | None = None
     if label_column is not None:
         if label_column not in header:
@@ -118,26 +191,7 @@ def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     feat_idx = [i for i in range(len(header)) if i != label_idx]
     if not feat_idx:
         raise ParseError("no feature columns")
-
-    data = records[1:]
-    if not data:
-        raise ParseError("file has a header but no data rows")
-    try:
-        # np.array(column, dtype=float64) calls float() on each cell, as _walk_rows does
-        if np.any(np.fromiter(map(len, data), np.int64, len(data)) != len(header)):
-            raise ValueError
-        columns = list(zip(*data))
-        values = np.column_stack([np.array(columns[i], dtype=np.float64) for i in feat_idx])
-        labels = None if label_idx is None else np.array(columns[label_idx], dtype=np.float64)
-        if not np.all(np.isfinite(values)) or (labels is not None and np.any((labels != 0) & (labels != 1))):
-            raise ValueError
-    except ValueError:
-        values, labels = _walk_rows(data, header, feat_idx, label_idx)
-    return TimeSeries(
-        values=values,
-        labels=None if labels is None else labels.astype(np.int64),
-        channel_names=[header[i] for i in feat_idx],
-    )
+    return feat_idx, label_idx
 
 
 def _walk_rows(

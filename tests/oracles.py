@@ -81,6 +81,84 @@ def unblocked_encode(enc: neural.EncoderParams, X: np.ndarray) -> np.ndarray:
     return np.concatenate(finals, axis=1)
 
 
+def full_step_forward(enc: neural.EncoderParams, X: np.ndarray) -> tuple[np.ndarray, list]:
+    """Latents of X (B, w, d) and the per-layer, per-step BPTT cache, with
+    every step, the first included, taking the recurrent product and the
+    forget-gate term of its zero or carried state."""
+    B, w, _ = X.shape
+    h = enc.hidden_size
+    seq = X
+    finals = []
+    cache = []
+    for layer in enc.layers:
+        hs = np.zeros((B, h))
+        cs = np.zeros((B, h))
+        outputs = np.empty((B, w, h))
+        steps = []
+        for t in range(w):
+            xt = seq[:, t, :]
+            a = xt @ layer.W.T
+            a += hs @ layer.U.T
+            a += layer.b
+            i_f = where_sigmoid(a[:, : 2 * h])
+            i, f = i_f[:, :h], i_f[:, h:]
+            g = np.tanh(a[:, 2 * h : 3 * h])
+            o = where_sigmoid(a[:, 3 * h :])
+            c_new = f * cs
+            c_new += i * g
+            tanh_c = np.tanh(c_new)
+            h_new = o * tanh_c
+            steps.append((xt, hs, cs, i, f, g, o, tanh_c))
+            hs, cs = h_new, c_new
+            outputs[:, t, :] = h_new
+        finals.append(hs)
+        cache.append((seq, steps))
+        seq = outputs
+    return np.concatenate(finals, axis=1), cache
+
+
+def full_step_backward(enc: neural.EncoderParams, cache: list, dZ: np.ndarray) -> dict[str, np.ndarray]:
+    """BPTT through full_step_forward's cache: every step, the first
+    included, adds its dU product and carries dh and dc to the step before."""
+    h = enc.hidden_size
+    grads = {}
+    B = dZ.shape[0]
+    w = len(cache[0][1])
+    d_seq_above = None
+    for l in range(enc.num_layers - 1, -1, -1):
+        layer = enc.layers[l]
+        seq, steps = cache[l]
+        dW = np.zeros_like(layer.W)
+        dU = np.zeros_like(layer.U)
+        db = np.zeros_like(layer.b)
+        d_inputs = np.zeros((B, w, seq.shape[2])) if l > 0 else None
+        dh_next = dZ[:, l * h : (l + 1) * h].copy()
+        dc_next = np.zeros((B, h))
+        for t in range(w - 1, -1, -1):
+            xt, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+            dh = dh_next
+            if d_seq_above is not None:
+                dh = dh + d_seq_above[:, t, :]
+            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+            da_o = dh * tanh_c * o * (1.0 - o)
+            da_i = dc * g * i * (1.0 - i)
+            da_f = dc * c_prev * f * (1.0 - f)
+            da_g = dc * i * (1.0 - g * g)
+            da = np.concatenate([da_i, da_f, da_g, da_o], axis=1)
+            dW += da.T @ xt
+            dU += da.T @ h_prev
+            db += da.sum(axis=0)
+            if d_inputs is not None:
+                d_inputs[:, t, :] = da @ layer.W
+            dh_next = da @ layer.U
+            dc_next = dc * f
+        grads[f"enc.l{l}.W"] = dW
+        grads[f"enc.l{l}.U"] = dU
+        grads[f"enc.l{l}.b"] = db
+        d_seq_above = d_inputs
+    return grads
+
+
 def naive_decode(dec: neural.DecoderParams, z: np.ndarray) -> np.ndarray:
     hidden = np.tanh(dec.W1 @ np.asarray(z, dtype=np.float64) + dec.b1)
     return dec.W2 @ hidden + dec.b2

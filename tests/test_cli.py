@@ -130,6 +130,30 @@ class TestPipeline:
         assert rc == 1
         assert "val-csv" in capsys.readouterr().err
 
+    def test_every_csv_gboc_writes_loads_without_the_csv_module(self, tmp_path, monkeypatch, capsys):
+        # np.loadtxt reads a plain file several times faster than the csv
+        # module's path, so each file gboc writes, and reads back, must be plain
+        def refuse(path, label_column):
+            raise AssertionError(f"{path} took the csv module's path")
+
+        data, model = tmp_path / "data", tmp_path / "model.gboc"
+        assert cli.main(["synth", "--kind", "noise", "--length", "300", "--seed", "3", "--out", str(data)]) == 0
+        monkeypatch.setattr(tsdata, "_parse_with_csv_module", refuse)
+        out = {name: tmp_path / f"{name}.csv" for name in ("curve", "report", "scores", "per_delta", "balls")}
+        detect = ["detect", "--test-csv", data / "test.csv", "--label-col", "label", "--model", model]
+        for argv in (
+            ["train", "--train-csv", data / "train.csv", "--label-col", "label", "--model", model,
+             "--out", out["curve"], "--epochs", "1", "--quiet"],
+            [*detect, "--out", out["report"]],
+            [*detect, "--scores-only", "--out", out["scores"]],
+            ["eval", "--report", out["report"], "--out", out["per_delta"]],
+            ["dump-balls", "--model", model, "--out", out["balls"]],
+        ):
+            assert cli.main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        for path in out.values():
+            tsdata.load_csv(path)
+
 
 class TestErrors:
     def test_unknown_flag_exits_nonzero_with_usage(self, capsys):

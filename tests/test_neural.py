@@ -3,11 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gboc import granular, neural
 from gboc.errors import ShapeMismatch
 from oracles import (
     fd_gradient_check,
+    full_step_backward,
+    full_step_forward,
     naive_decode,
     naive_encode,
     random_small_net,
@@ -93,6 +97,53 @@ class TestEncode:
         workspace = 2 * BLOCK * (layers * w * h + 8 * 4 * h) * 8
         assert workspace < output
         assert peak < output + workspace
+
+
+# exact zeros, values whose pre-activations underflow a gate to 0, and plain ones
+ENCODER_INPUT = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from([-3000.0, 3000.0]), st.floats(-3.0, 3.0))
+
+
+class TestZeroStateFirstStep:
+    @given(
+        d=st.integers(1, 3),
+        h=st.integers(1, 4),
+        layers=st.integers(1, 3),
+        w=st.integers(1, 4),
+        B=st.integers(1, 5),
+        zero_biases=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_latents_and_gradients_bitwise_equal_full_step(self, d, h, layers, w, B, zero_biases, seed, data):
+        rng = np.random.default_rng(seed)
+        enc = neural.init_encoder(d, h, layers, rng)
+        for layer in enc.layers:
+            layer.b[:] = 0.0 if zero_biases else rng.normal(size=layer.b.shape)
+        X = np.array(data.draw(st.lists(ENCODER_INPUT, min_size=B * w * d, max_size=B * w * d))).reshape(B, w, d)
+        dZ = rng.normal(size=(B, enc.latent_size)) * rng.integers(0, 2, size=(B, enc.latent_size))
+
+        z, cache = neural._forward_encoder(enc, X, keep_cache=True)
+        z_full, cache_full = full_step_forward(enc, X)
+        assert z.tobytes() == z_full.tobytes()
+        assert neural.encode_batch(enc, X).tobytes() == z_full.tobytes()
+        grads = neural._backward_encoder(enc, cache, dZ)
+        grads_full = full_step_backward(enc, cache_full, dZ)
+        assert grads.keys() == grads_full.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == grads_full[name].tobytes(), name
+
+    def test_underflowed_input_gate_gives_positive_zero_cell(self):
+        # a very negative input drives i to exactly +0 and g to -1, so i * g is
+        # -0.0; the full step's f * c_prev + i * g is +0.0, and so is this one
+        enc = neural.init_encoder(1, 1, 1, np.random.default_rng(0))
+        enc.layers[0].W[:, 0] = [1.0, 1.0, 1.0, 1.0]
+        enc.layers[0].b[:] = 0.0
+        X = np.full((1, 1, 1), -3000.0)
+        z, cache = neural._forward_encoder(enc, X, keep_cache=True)
+        assert cache[0][1][0][3][0, 0] == 0.0 and np.signbit(cache[0][1][0][5][0, 0])  # i = +0, g = -1
+        assert z.tobytes() == full_step_forward(enc, X)[0].tobytes()
+        assert not np.signbit(z[0, 0])
 
 
 class TestSigmoid:

@@ -34,11 +34,16 @@ CELL = st.one_of(
 LABEL_CELL = st.one_of(st.sampled_from(["0", "1", " 1 ", "1.0", "-0", "1e0", "0.0"]), CELL)
 
 
-def assert_loads_like_row_walk(path, records, label):
-    """load_csv gives the row-walk reference's series, or its exception type,
-    message, row and column."""
+def assert_writes_load_like_row_walk(path, records, label):
+    """Records written by csv.writer load as assert_loads_like_row_walk says."""
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerows(records)
+    assert_loads_like_row_walk(path, label)
+
+
+def assert_loads_like_row_walk(path, label):
+    """load_csv gives the row-walk reference's series, or its exception type,
+    message, row and column."""
 
     def outcome(load):
         try:
@@ -140,11 +145,105 @@ class TestLoadCsv:
         full_row = st.tuples(*[LABEL_CELL if name == "label" else CELL for name in header]).map(list)
         any_row = st.lists(CELL, max_size=len(header) + 1)
         grid = data.draw(st.lists(st.one_of(full_row, full_row, full_row, full_row, any_row), max_size=8))
-        assert_loads_like_row_walk(tmp_path / "grid.csv", [header, *grid], label)
+        assert_writes_load_like_row_walk(tmp_path / "grid.csv", [header, *grid], label)
 
     @pytest.mark.parametrize("cell", ODD_CELLS)
     def test_odd_spellings_load_like_row_walk(self, tmp_path, cell):
-        assert_loads_like_row_walk(tmp_path / "odd.csv", [["a", "label"], ["1", "0"], [cell, cell]], "label")
+        assert_writes_load_like_row_walk(tmp_path / "odd.csv", [["a", "label"], ["1", "0"], [cell, cell]], "label")
+
+
+LIMIT = csv.field_size_limit()
+
+# files as raw bytes, each with the label column it is loaded with
+RAW_FILES = {
+    "lf": (b"a,label\n1,0\n2.5,1\n", "label"),
+    "crlf": (b"a,label\r\n1,0\r\n2.5,1\r\n", "label"),
+    "lone_cr": (b"a,label\r1,0\r2.5,1\r", "label"),
+    "mixed_terminators": (b"a,label\r\n1,0\n2.5,1\r3,0\r\n-1,1", "label"),
+    "cr_inside_header": (b"a\rb\n1\n", None),
+    "cr_before_crlf": (b"a\n1\r\r\n2\n", None),
+    "cr_at_end": (b"a\n1\n2\r", None),
+    "no_final_terminator": (b"a,label\n1,0\n2.5,1", "label"),
+    "no_final_terminator_crlf": (b"a,b\r\n1,2\r\n3,4", None),
+    "blank_line_in_middle": (b"a,label\n1,0\n\n2.5,1\n", "label"),
+    "blank_crlf_line_in_middle": (b"a,label\r\n1,0\r\n\r\n2.5,1\r\n", "label"),
+    "extra_blank_line_at_end": (b"a,label\n1,0\n2.5,1\n\n", "label"),
+    "blank_first_line": (b"\n1\n2\n", None),
+    "blank_first_crlf_line": (b"\r\n1\r\n2\r\n", None),
+    "only_terminators": (b"\n\n", None),
+    "whitespace_only_line": (b"a,label\n1,0\n \t\n2,1\n", "label"),
+    "whitespace_only_line_one_column": (b"a\n1\n \n2\n", None),
+    "padded_cells": (b"a , b,label\n 1 ,\t2 , 1\n", "label"),
+    "trailing_comma": (b"a,label\n1,0,\n2,1,\n", "label"),
+    "trailing_comma_in_header_too": (b"a,label,\n1,0,\n", "label"),
+    "every_row_one_field_more": (b"a\n1,2\n3,4\n", None),
+    "every_row_one_field_fewer": (b"a,b,label\n1,0\n2,1\n", "label"),
+    "quote_in_header": (b'"a",label\n1,0\n', "label"),
+    "stray_quote_in_header": (b'a"b,label\n1,0\n', "label"),
+    "quoted_cell": (b'a,label\n"1",0\n2,1\n', "label"),
+    "quoted_comma": (b'a,label\n"1,5",0\n', "label"),
+    "nul_in_cell": (b"a,label\n1\x00,0\n", "label"),
+    "nul_in_header": (b"a\x00,label\n1,0\n", "label"),
+    "bom_before_header": (b"\xef\xbb\xbfa,label\n1,0\n", "label"),
+    "bom_in_cell": (b"a,label\n\xef\xbb\xbf1,0\n", "label"),
+    "one_column": (b"a\n1\n-2e-3\n", None),
+    "one_column_one_row": (b"a\n7", None),
+    "one_column_is_the_label": (b"label\n0\n1\n", "label"),
+    "header_only": (b"a,label\n", "label"),
+    "header_only_unterminated": (b"a,label", "label"),
+    "empty": (b"", None),
+    "label_not_in_header": (b"a,b\n1,0\n", "label"),
+    "file_separator_around_number": (b"a\n\x1c1\n", None),
+    "unit_separator_after_number": (b"a\n1\x1f\n", None),
+    "unicode_space_around_number": (b"a\n\xc2\xa01\xe2\x80\x83\n", None),
+    "arabic_indic_digit": (b"a\n\xd9\xa3\n", None),
+    "underscore_in_number": (b"a\n1_000.5\n", None),
+    "nan_cell": (b"a,label\n1,0\nnan,1\n", "label"),
+    "label_two": (b"a,label\n1,0\n2,2\n", "label"),
+    "label_minus_zero": (b"a,label\n1,-0\n2,1e0\n", "label"),
+    "invalid_utf8": (b"a\n1\n\xff\n", None),
+    "truncated_utf8": (b"a\n1\n\xe2\x82", None),
+    "invalid_utf8_past_the_first_chunk": (b"a\n" + b"1\n" * 6000 + b"\xff\n", None),
+    "field_at_the_limit": (b"a\n" + b"0" * (LIMIT - 1) + b"1\n", None),
+    "field_over_the_limit": (b"a\n" + b"0" * LIMIT + b"1\n", None),
+}
+
+# raw text pieces: cells, and separators and characters the csv module and
+# np.loadtxt might split or read differently
+RAW_PIECE = st.one_of(
+    CELL,
+    st.sampled_from([",", ",", ",", "\n", "\n", "\r\n", "\r\n", "\r", '"', "\0", "\ufeff", "\x1c", " ", "\t"]),
+)
+
+
+class TestLoadCsvRawText:
+    @pytest.mark.parametrize("raw,label", RAW_FILES.values(), ids=RAW_FILES.keys())
+    def test_raw_file_loads_like_row_walk(self, tmp_path, raw, label):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(raw)
+        assert_loads_like_row_walk(path, label)
+
+    @pytest.mark.parametrize("spelling", ["{c}1", "1{c}", "1{c}5", "{c}{c}-2.5e1{c}"])
+    def test_every_space_and_ascii_character_around_a_number_loads_like_row_walk(self, tmp_path, spelling):
+        # np.loadtxt strips str.isspace() characters and stops at the first
+        # other non-ASCII one; float() disagrees only on _LOADTXT_ONLY_SPACES
+        chars = [chr(i) for i in range(0x110000) if i < 128 or chr(i).isspace()]
+        for i, c in enumerate(c for c in chars if c not in ',"\r\n\0'):
+            path = tmp_path / f"{i}.csv"
+            path.write_bytes(("a\n0\n" + spelling.format(c=c) + "\n").encode())
+            assert_loads_like_row_walk(path, None)
+
+    @given(
+        header=st.sampled_from(["a,label", "a,b,label", "a", "label", "a,b", ""]),
+        terminator=st.sampled_from(["\n", "\r\n"]),
+        body=st.lists(RAW_PIECE, max_size=24),
+    )
+    @example(header="a,b", terminator="\r\n", body=["1", ",", "2", "\r\n", "3", ",", "4"])
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_raw_text_loads_like_row_walk(self, tmp_path, header, terminator, body):
+        path = tmp_path / "raw.csv"
+        path.write_bytes((header + terminator + "".join(body)).encode())
+        assert_loads_like_row_walk(path, "label" if "label" in header else None)
 
 
 class TestNormalizer:
