@@ -24,7 +24,6 @@ workspace, however many centers it ranks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,9 +244,11 @@ def try_split(
 
 @dataclass(frozen=True)
 class GbSet:
-    """The full ball collection; immutable once built."""
+    """The full ball collection; immutable once built. kept_tightest marks a
+    pruned set whose radius threshold would have dropped every ball."""
 
     balls: list[GranularBall]
+    kept_tightest: bool = False
 
     @property
     def centers(self) -> np.ndarray:
@@ -307,7 +308,8 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     """Drop diffuse balls whose radius exceeds mu * max(median, mean) of all radii.
 
     If the threshold would remove everything (pathological radii), the single
-    smallest-radius ball is kept so scoring always has a center.
+    smallest-radius ball is kept so scoring always has a center, and the
+    result has kept_tightest set.
     """
     if not (math.isfinite(mu) and mu > 0.0):
         raise BadParams(f"prune needs a finite mu > 0, got {mu}")
@@ -317,8 +319,7 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     r_th = mu * max(float(np.median(radii)), float(radii.mean()))
     kept = [b for b in gb_set.balls if b.radius <= r_th]
     if not kept:
-        warnings.warn("radius threshold would prune every ball; keeping the tightest one")
-        kept = [gb_set.balls[int(np.argmin(radii))]]
+        return GbSet(balls=[gb_set.balls[int(np.argmin(radii))]], kept_tightest=True)
     return GbSet(balls=kept)
 
 

@@ -1,11 +1,13 @@
 """Versioned binary persistence for the trained model bundle.
 
-Layout (all little-endian): magic "GBOC", u32 version, u32 dims
-(window, stride, channels, layers, hidden, latent), normalization mean/std,
-encoder gate matrices per layer (W, U, b), decoder (hidden width, W1, b1,
-W2, b2), center count and matrix, radii, then the training-config snapshot
-(_CONFIG_TAIL). Every real is a 64-bit IEEE-754 float, so a save -> load ->
-save round trip is byte-identical.
+Layout of format version 2 (all little-endian): magic "GBOC", u32 version,
+u32 dims (window, stride, channels, layers, hidden, latent), normalization
+mean/std, encoder gate matrices per layer (W, U, b), center count and
+matrix, radii, then the training-config snapshot (_CONFIG_TAIL). The
+decoder serves only the training loss and is not stored. Every real is a
+64-bit IEEE-754 float, so a save -> load -> save round trip is
+byte-identical. Files of any other version, format 1 with its decoder
+block included, are rejected.
 """
 from __future__ import annotations
 
@@ -15,22 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
-from .neural import DecoderParams, EncoderParams, LstmLayer
+from .neural import EncoderParams, LstmLayer
 from .trainer import GbocModel, TrainConfig
 from .tsdata import NormStats
 
 MAGIC = b"GBOC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # The TrainConfig fields the file stores after the radii, in file order, with
-# the _Writer/_Reader method of each; window, stride, layers, hidden and
-# decoder_hidden are read back from the network dimensions. A flag is a u32
-# that holds 0 or 1. Format v1 ends with one more flag, a retired
-# child-support switch, that always holds 1.
+# the _Writer/_Reader method of each; window, stride, layers and hidden are
+# read back from the network dimensions. A flag is a u32 that holds 0 or 1.
 _CONFIG_TAIL = (
-    ("epochs", "u32"), ("batch_size", "u32"), ("lr", "f64"), ("lam", "f64"), ("s_min", "u32"), ("mu", "f64"),
-    ("seed", "u64"), ("rebuild_every", "u32"), ("gbc_off", "flag"), ("prune_off", "flag"),
-    ("assign_unpruned", "flag"),
+    ("decoder_hidden", "u32"), ("epochs", "u32"), ("batch_size", "u32"), ("lr", "f64"), ("lam", "f64"),
+    ("s_min", "u32"), ("mu", "f64"), ("seed", "u64"), ("rebuild_every", "u32"), ("gbc_off", "flag"),
+    ("prune_off", "flag"), ("assign_unpruned", "flag"),
 )
 
 
@@ -115,18 +115,11 @@ def _dump(model: GbocModel) -> bytes:
         w.array(layer.W)
         w.array(layer.U)
         w.array(layer.b)
-    dec = model.decoder
-    w.u32(dec.W1.shape[0])
-    w.array(dec.W1)
-    w.array(dec.b1)
-    w.array(dec.W2)
-    w.array(dec.b2)
     w.u32(model.centers.shape[0])
     w.array(model.centers)
     w.array(model.radii)
     for name, kind in _CONFIG_TAIL:
         getattr(w, kind)(getattr(model.config, name))
-    w.flag(True)  # the retired child-support switch
     return w.bytes()
 
 
@@ -136,7 +129,10 @@ def _parse(buf: bytes) -> GbocModel:
         raise BadMagic("not a model file (bad magic)")
     version = r.u32()
     if version != FORMAT_VERSION:
-        raise VersionUnsupported(f"format version {version} is not supported")
+        raise VersionUnsupported(
+            f"model format version {version} is not supported; this gboc reads version {FORMAT_VERSION} "
+            "only, so retrain the model with it"
+        )
     window, stride, d, layers, hidden, latent = (r.u32() for _ in range(6))
     if window < 1 or stride < 1 or d < 1 or layers < 1 or hidden < 1:
         raise InvariantViolation("dimensions must be positive")
@@ -150,31 +146,16 @@ def _parse(buf: bytes) -> GbocModel:
         enc_layers.append(
             LstmLayer(W=r.array((4 * hidden, in_l)), U=r.array((4 * hidden, hidden)), b=r.array((4 * hidden,)))
         )
-    dec_hidden = r.u32()
-    if dec_hidden < 1:
-        raise InvariantViolation("decoder width must be positive")
-    out_dim = window * d
-    dec = DecoderParams(
-        W1=r.array((dec_hidden, latent)),
-        b1=r.array((dec_hidden,)),
-        W2=r.array((out_dim, dec_hidden)),
-        b2=r.array((out_dim,)),
-    )
     m = r.u32()
     if m < 1:
         raise InvariantViolation("model must retain at least one center")
     centers = r.array((m, latent))
     radii = r.array((m,))
     tail = {name: getattr(r, kind)() for name, kind in _CONFIG_TAIL}
-    if not r.flag():
-        raise InvariantViolation("the retired child-support flag must hold 1")
-    cfg = TrainConfig(
-        window=window, stride=stride, layers=layers, hidden=hidden, decoder_hidden=dec_hidden, **tail
-    )
+    cfg = TrainConfig(window=window, stride=stride, layers=layers, hidden=hidden, **tail)
     r.done()
     model = GbocModel(
         encoder=EncoderParams(input_size=d, hidden_size=hidden, layers=enc_layers),
-        decoder=dec,
         norm=NormStats(mean=mean, std=std),
         centers=centers,
         radii=radii,
@@ -195,10 +176,6 @@ def _all_arrays(model: GbocModel):
         yield f"encoder[{l}].W", layer.W
         yield f"encoder[{l}].U", layer.U
         yield f"encoder[{l}].b", layer.b
-    yield "decoder.W1", model.decoder.W1
-    yield "decoder.b1", model.decoder.b1
-    yield "decoder.W2", model.decoder.W2
-    yield "decoder.b2", model.decoder.b2
     yield "centers", model.centers
     yield "radii", model.radii
 

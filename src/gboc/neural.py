@@ -1,17 +1,24 @@
-"""Recurrent window encoder, lightweight decoder, exact gradients, Adam.
+"""Recurrent window encoder, training-time decoder, exact gradients, Adam.
 
 The encoder is a stack of standard 4-gate recurrent cells run over the
 window's timesteps from zero initial state; the latent vector is the
-concatenation of every layer's final hidden state. The decoder is one
-hidden tanh layer plus a linear output. Gradients are computed by
-backpropagation through time in closed form; everything is float64 so the
-finite-difference checks hold to tight tolerances.
+concatenation of every layer's final hidden state. The decoder, one hidden
+tanh layer plus a linear output, exists only for the reconstruction term of
+the training loss: a model file holds the encoder alone. Gradients are
+computed by backpropagation through time in closed form; everything is
+float64 so the finite-difference checks hold to tight tolerances.
+
+Training holds every trainable tensor as a view into one float64 vector
+(flatten_params): each encoder layer's W, U and b, then the decoder's W1,
+b1, W2 and b2. backward returns its gradient in that layout, so Adam
+updates the whole network as one vector.
 
 Gate block order inside the stacked 4h-row parameter matrices is
 input, forget, cell candidate, output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +80,6 @@ class DecoderParams:
     b2: np.ndarray  # (out,)
 
     @property
-    def latent_size(self) -> int:
-        return self.W1.shape[1]
-
-    @property
     def output_size(self) -> int:
         return self.W2.shape[0]
 
@@ -112,19 +115,32 @@ def init_decoder(
     )
 
 
-def param_dict(enc: EncoderParams, dec: DecoderParams | None = None) -> dict[str, np.ndarray]:
-    """Live name -> array view of every trainable tensor (in declared order)."""
-    out: dict[str, np.ndarray] = {}
-    for l, layer in enumerate(enc.layers):
-        out[f"enc.l{l}.W"] = layer.W
-        out[f"enc.l{l}.U"] = layer.U
-        out[f"enc.l{l}.b"] = layer.b
-    if dec is not None:
-        out["dec.W1"] = dec.W1
-        out["dec.b1"] = dec.b1
-        out["dec.W2"] = dec.W2
-        out["dec.b2"] = dec.b2
-    return out
+def _fields(enc: EncoderParams, dec: DecoderParams) -> list[tuple[object, str]]:
+    """(holder, attribute name) of every trainable tensor, in flat-vector order."""
+    return [(layer, k) for layer in enc.layers for k in ("W", "U", "b")] + [
+        (dec, k) for k in ("W1", "b1", "W2", "b2")
+    ]
+
+
+def _views(flat: np.ndarray, fields: list[tuple[object, str]]) -> list[np.ndarray]:
+    """flat cut into consecutive views, each shaped like one field's tensor."""
+    views, start = [], 0
+    for holder, k in fields:
+        shape = getattr(holder, k).shape
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def flatten_params(enc: EncoderParams, dec: DecoderParams) -> np.ndarray:
+    """Copy every trainable tensor into one float64 vector and rebind each
+    field to its view of it, so an update of the vector updates the network."""
+    fields = _fields(enc, dec)
+    flat = np.concatenate([np.ravel(getattr(holder, k)) for holder, k in fields], dtype=np.float64)
+    for (holder, k), view in zip(fields, _views(flat, fields)):
+        setattr(holder, k, view)
+    return flat
 
 
 def _forward_encoder(
@@ -193,19 +209,11 @@ def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_batch(dec: DecoderParams, Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape[1] != dec.latent_size:
-        raise ShapeMismatch(f"latent size {Z.shape[1]} does not match decoder ({dec.latent_size})")
-    return np.tanh(Z @ dec.W1.T + dec.b1) @ dec.W2.T + dec.b2
-
-
-def _backward_encoder(
-    enc: EncoderParams, cache: list, dZ: np.ndarray
-) -> dict[str, np.ndarray]:
-    """BPTT through the stack given dL/dz; returns gradients keyed like param_dict."""
+def _backward_encoder(enc: EncoderParams, cache: list, dZ: np.ndarray, grads: list[np.ndarray]) -> None:
+    """BPTT through the stack given dL/dz. Adds each layer's W, U and b
+    gradients into grads[3l], grads[3l + 1] and grads[3l + 2], which must
+    hold zeros."""
     h = enc.hidden_size
-    grads: dict[str, np.ndarray] = {}
     B = dZ.shape[0]
     w = len(cache[0][1])
     # gradient flowing into each layer's output sequence (from the layer above)
@@ -213,9 +221,7 @@ def _backward_encoder(
     for l in range(enc.num_layers - 1, -1, -1):
         layer = enc.layers[l]
         seq, steps = cache[l]
-        dW = np.zeros_like(layer.W)
-        dU = np.zeros_like(layer.U)
-        db = np.zeros_like(layer.b)
+        dW, dU, db = grads[3 * l : 3 * l + 3]
         # the input windows take no gradient, so the bottom layer skips d_inputs
         d_inputs = np.zeros((B, w, seq.shape[2])) if l > 0 else None
         dh_next = dZ[:, l * h : (l + 1) * h].copy()
@@ -242,11 +248,7 @@ def _backward_encoder(
                 dU += da.T @ h_prev
                 dh_next = da @ layer.U
                 dc_next = dc * f
-        grads[f"enc.l{l}.W"] = dW
-        grads[f"enc.l{l}.U"] = dU
-        grads[f"enc.l{l}.b"] = db
         d_seq_above = d_inputs
-    return grads
 
 
 def backward(
@@ -257,14 +259,15 @@ def backward(
     centers: np.ndarray,
     assignment: np.ndarray | None,
     lam: float,
-) -> tuple[dict[str, np.ndarray], float, float, float]:
+) -> tuple[np.ndarray, float, float, float]:
     """Joint loss and exact gradients for one batch.
 
     The loss is lam * mean squared reconstruction error + (1 - lam) * mean
     squared distance to each sample's assigned center; centers are constants
     (no gradient flows into them). With assignment None, each window goes to
     its nearest center under the latents of this same forward pass. Returns
-    (grads, loss, rec_term, align_term).
+    (grad, loss, rec_term, align_term); grad is one vector in the layout of
+    flatten_params, each tensor's gradient written into its view of it.
     """
     if not 0.0 <= lam <= 1.0:
         raise ShapeMismatch(f"lambda must be in [0, 1], got {lam}")
@@ -288,55 +291,52 @@ def backward(
     l_gb = float(np.sum(zdiff * zdiff) / B)
     loss = lam * l_rec + (1.0 - lam) * l_gb
 
-    grads: dict[str, np.ndarray] = {}
+    fields = _fields(enc, dec)
+    grad = np.zeros(sum(getattr(holder, k).size for holder, k in fields))
+    views = _views(grad, fields)
+    g_W1, g_b1, g_W2, g_b2 = views[-4:]
     d_recon = (2.0 * lam / B) * resid
-    grads["dec.W2"] = d_recon.T @ hh
-    grads["dec.b2"] = d_recon.sum(axis=0)
+    np.matmul(d_recon.T, hh, out=g_W2)
+    np.sum(d_recon, axis=0, out=g_b2)
     dhh = d_recon @ dec.W2
     dhpre = dhh * (1.0 - hh * hh)
-    grads["dec.W1"] = dhpre.T @ z
-    grads["dec.b1"] = dhpre.sum(axis=0)
+    np.matmul(dhpre.T, z, out=g_W1)
+    np.sum(dhpre, axis=0, out=g_b1)
 
     dz = dhpre @ dec.W1 + (2.0 * (1.0 - lam) / B) * zdiff
-    grads.update(_backward_encoder(enc, cache, dz))
+    _backward_encoder(enc, cache, dz, views[:-4])
 
-    if not np.isfinite(loss) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NonFiniteGradient("non-finite loss or gradient; aborting epoch")
-    return grads, loss, l_rec, l_gb
+    return grad, loss, l_rec, l_gb
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state, one slot per parameter."""
+    """Bias-corrected adaptive-moment optimizer state for one flat parameter vector."""
 
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] | None = None
-    v: dict[str, np.ndarray] | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def init_adam(params: dict[str, np.ndarray], lr: float = 1e-4) -> AdamState:
-    return AdamState(
-        lr=lr,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+def init_adam(params: np.ndarray, lr: float = 1e-4) -> AdamState:
+    return AdamState(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def opt_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+def opt_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     """In-place bias-corrected update: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    if grad.shape != params.shape:
+        raise ShapeMismatch(f"gradient shape {grad.shape} does not match parameters {params.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1**state.step
     c2 = 1.0 - state.beta2**state.step
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} does not match parameter {k} {p.shape}")
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[k] / c1
-        v_hat = state.v[k] / c2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grad * grad)
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)

@@ -73,11 +73,11 @@ class EpochReport:
 
 @dataclass
 class GbocModel:
-    """Everything inference needs: encoder/decoder weights, retained centers
-    and radii, normalization stats, and the config that produced them."""
+    """Everything inference needs: encoder weights, retained centers and
+    radii, normalization stats, and the config that produced them. The
+    decoder serves only the training loss, so the model does not keep it."""
 
     encoder: neural.EncoderParams
-    decoder: neural.DecoderParams
     norm: tsdata.NormStats
     centers: np.ndarray  # (M, d')
     radii: np.ndarray  # (M,)
@@ -89,10 +89,11 @@ def _ball_seed(seed: int, epoch: int) -> int:
 
 
 def _build_balls(
-    enc: neural.EncoderParams, X: np.ndarray, cfg: TrainConfig, epoch: int
+    enc: neural.EncoderParams, X: np.ndarray, cfg: TrainConfig, epoch: int, verbose: bool
 ) -> tuple[granular.GbSet, granular.GbSet, int, int]:
     """Encode every training window and rebuild the balls over the latents;
-    returns (training_set, shipped_set, count_before, count_after)."""
+    returns (training_set, shipped_set, count_before, count_after). With
+    verbose, a prune that keeps only the tightest ball says so on stderr."""
     latents = neural.encode_batch(enc, X)
     if not np.all(np.isfinite(latents)):
         raise NonFiniteLoss(f"non-finite latents at the epoch-{epoch} ball build; training diverged")
@@ -106,6 +107,9 @@ def _build_balls(
     if cfg.prune_off:
         return unpruned, unpruned, before, before
     pruned = granular.prune(unpruned, cfg.mu)
+    if pruned.kept_tightest and verbose:
+        build = "final ball build" if epoch > cfg.epochs else f"epoch {epoch} ball build"
+        print(f"warning: {build}: --mu {cfg.mu} would prune every ball; kept the tightest one", file=sys.stderr)
     training = unpruned if cfg.assign_unpruned else pruned
     return training, pruned, before, len(pruned.balls)
 
@@ -125,14 +129,15 @@ def train(
 
     init_rng = np.random.default_rng([cfg.seed, 1])
     enc = neural.init_encoder(train_ts.d, cfg.hidden, cfg.layers, init_rng)
+    # the decoder only serves the reconstruction loss; the model keeps the encoder
     dec = neural.init_decoder(enc.latent_size, cfg.window * train_ts.d, cfg.decoder_hidden, init_rng)
-    params = neural.param_dict(enc, dec)
+    params = neural.flatten_params(enc, dec)
     opt = neural.init_adam(params, lr=cfg.lr)
 
     reports: list[EpochReport] = []
     for epoch in range(1, cfg.epochs + 1):
         if (epoch - 1) % cfg.rebuild_every == 0:
-            training_set, _, before, after = _build_balls(enc, X, cfg, epoch)
+            training_set, _, before, after = _build_balls(enc, X, cfg, epoch, verbose)
             centers = training_set.centers
 
         order = np.random.default_rng([cfg.seed, 2, epoch]).permutation(n)
@@ -140,10 +145,10 @@ def train(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             try:
-                grads, loss, l_rec, l_gb = neural.backward(enc, dec, X[idx], targets[idx], centers, None, cfg.lam)
+                grad, loss, l_rec, l_gb = neural.backward(enc, dec, X[idx], targets[idx], centers, None, cfg.lam)
             except NonFiniteGradient as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
-            neural.opt_step(opt, params, grads)
+            neural.opt_step(opt, params, grad)
             sum_rec += l_rec * idx.size
             sum_gb += l_gb * idx.size
             sum_loss += loss * idx.size
@@ -164,10 +169,9 @@ def train(
                 file=sys.stderr,
             )
 
-    _, shipped, _, _ = _build_balls(enc, X, cfg, cfg.epochs + 1)
+    _, shipped, _, _ = _build_balls(enc, X, cfg, cfg.epochs + 1, verbose)
     model = GbocModel(
         encoder=enc,
-        decoder=dec,
         norm=stats,
         centers=shipped.centers.copy(),
         radii=shipped.radii.copy(),

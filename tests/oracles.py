@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from gboc import granular, neural, tsdata
-from gboc.errors import MissingFile, NonBinaryLabel, ParseError
+from gboc.errors import MissingFile, NonBinaryLabel, ParseError, ShapeMismatch
 
 
 def naive_encode(enc: neural.EncoderParams, window: np.ndarray) -> np.ndarray:
@@ -117,11 +118,12 @@ def full_step_forward(enc: neural.EncoderParams, X: np.ndarray) -> tuple[np.ndar
     return np.concatenate(finals, axis=1), cache
 
 
-def full_step_backward(enc: neural.EncoderParams, cache: list, dZ: np.ndarray) -> dict[str, np.ndarray]:
+def full_step_backward(enc: neural.EncoderParams, cache: list, dZ: np.ndarray) -> list[np.ndarray]:
     """BPTT through full_step_forward's cache: every step, the first
-    included, adds its dU product and carries dh and dc to the step before."""
+    included, adds its dU product and carries dh and dc to the step before.
+    Returns each layer's fresh W, U and b gradients, bottom layer first."""
     h = enc.hidden_size
-    grads = {}
+    grads = [None] * (3 * enc.num_layers)
     B = dZ.shape[0]
     w = len(cache[0][1])
     d_seq_above = None
@@ -152,11 +154,62 @@ def full_step_backward(enc: neural.EncoderParams, cache: list, dZ: np.ndarray) -
                 d_inputs[:, t, :] = da @ layer.W
             dh_next = da @ layer.U
             dc_next = dc * f
-        grads[f"enc.l{l}.W"] = dW
-        grads[f"enc.l{l}.U"] = dU
-        grads[f"enc.l{l}.b"] = db
+        grads[3 * l : 3 * l + 3] = [dW, dU, db]
         d_seq_above = d_inputs
     return grads
+
+
+def per_tensor_backward(enc, dec, X, Y, centers, assignment, lam) -> list[np.ndarray]:
+    """The joint loss's gradient as one fresh array per tensor, in the order
+    of neural.flatten_params: the encoder's from full_step_backward, then the
+    decoder's W1, b1, W2 and b2 as plain products and sums."""
+    B = X.shape[0]
+    z, cache = full_step_forward(enc, np.asarray(X, dtype=np.float64))
+    hh = np.tanh(z @ dec.W1.T + dec.b1)
+    resid = hh @ dec.W2.T + dec.b2 - Y
+    d_recon = (2.0 * lam / B) * resid
+    dhpre = (d_recon @ dec.W2) * (1.0 - hh * hh)
+    dz = dhpre @ dec.W1 + (2.0 * (1.0 - lam) / B) * (z - centers[assignment])
+    decoder = [dhpre.T @ z, dhpre.sum(axis=0), d_recon.T @ hh, d_recon.sum(axis=0)]
+    return full_step_backward(enc, cache, dz) + decoder
+
+
+@dataclass
+class DictAdam:
+    """Adam with one moment pair per named tensor."""
+
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def dict_adam_step(state: DictAdam, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    """One bias-corrected Adam step, tensor by tensor, each moment a fresh array."""
+    state.step += 1
+    c1 = 1.0 - state.beta1**state.step
+    c2 = 1.0 - state.beta2**state.step
+    for k, p in params.items():
+        g = grads[k]
+        m = state.m.get(k, np.zeros_like(p))
+        v = state.v.get(k, np.zeros_like(p))
+        state.m[k] = state.beta1 * m + (1.0 - state.beta1) * g
+        state.v[k] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m_hat = state.m[k] / c1
+        v_hat = state.v[k] / c2
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def decode_batch(dec: neural.DecoderParams, Z: np.ndarray) -> np.ndarray:
+    """Reconstructions of a batch of latents (B, latent)."""
+    Z = np.asarray(Z, dtype=np.float64)
+    latent_size = dec.W1.shape[1]
+    if Z.shape[1] != latent_size:
+        raise ShapeMismatch(f"latent size {Z.shape[1]} does not match decoder ({latent_size})")
+    return np.tanh(Z @ dec.W1.T + dec.b1) @ dec.W2.T + dec.b2
 
 
 def naive_decode(dec: neural.DecoderParams, z: np.ndarray) -> np.ndarray:
@@ -178,24 +231,22 @@ def joint_loss(enc, dec, X, Y, centers, assignment, lam) -> float:
 
 
 def fd_gradient_check(enc, dec, X, Y, centers, assignment, lam, step=1e-5) -> float:
-    """Max relative error between analytic gradients and central differences."""
-    grads, _, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
-    params = neural.param_dict(enc, dec)
+    """Max relative error between analytic gradients and central differences,
+    one entry of the flat parameter vector at a time (enc and dec are bound
+    to its views)."""
+    flat = neural.flatten_params(enc, dec)
+    grad, _, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
     worst = 0.0
-    for name, p in params.items():
-        g = grads[name]
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = p[ix]
-            p[ix] = orig + step
-            _, up, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
-            p[ix] = orig - step
-            _, down, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
-            p[ix] = orig
-            fd = (up - down) / (2.0 * step)
-            rel = abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6)
-            worst = max(worst, rel)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        _, up, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
+        flat[i] = orig - step
+        _, down, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
+        flat[i] = orig
+        fd = (up - down) / (2.0 * step)
+        rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6)
+        worst = max(worst, rel)
     return worst
 
 

@@ -155,6 +155,26 @@ class TestPipeline:
             tsdata.load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "epochs,mu,builds",
+    [("1", "0.5", ["epoch 1 ball build"]), ("2", "0.3", ["epoch 1 ball build", "epoch 2 ball build", "final ball build"])],
+)
+def test_prune_fallback_is_one_stderr_line_per_build_unless_quiet(tmp_path, capsys, epochs, mu, builds):
+    assert cli.main(["synth", "--kind", "noise", "--length", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
+    argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
+            "--epochs", epochs, "--mu", mu, "--seed", "1"]
+    capsys.readouterr()
+    assert cli.main([*argv, "--model", str(tmp_path / "loud.gboc")]) == 0
+    loud = capsys.readouterr().err.splitlines()
+    assert cli.main([*argv, "--model", str(tmp_path / "quiet.gboc"), "--quiet"]) == 0
+    quiet = capsys.readouterr().err.splitlines()
+    expected = [f"warning: {build}: --mu {mu} would prune every ball; kept the tightest one" for build in builds]
+    assert [line for line in loud if line.startswith("warning:")] == expected
+    assert not any("Warning" in line for line in loud)
+    assert len(quiet) == 1 and quiet[0].startswith("model written to")
+    assert (tmp_path / "loud.gboc").read_bytes() == (tmp_path / "quiet.gboc").read_bytes()
+
+
 class TestErrors:
     def test_unknown_flag_exits_nonzero_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

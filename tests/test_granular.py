@@ -290,10 +290,11 @@ class TestPrune:
 
     def test_never_removes_every_ball(self):
         gset = self.make_set_with_radii([1.0, 1.0])
-        with pytest.warns(UserWarning):
-            pruned = granular.prune(gset, mu=0.5)  # r_th = 0.5 < every radius
+        pruned = granular.prune(gset, mu=0.5)  # r_th = 0.5 < every radius
+        assert pruned.kept_tightest
         assert len(pruned.balls) == 1
         assert pruned.balls[0].radius == 1.0
+        assert not granular.prune(gset, mu=1.0).kept_tightest
 
 
 class TestNearestCenter:

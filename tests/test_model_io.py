@@ -9,6 +9,7 @@ from gboc.errors import BadMagic, GbocError, InvariantViolation, MissingFile, Tr
 
 
 def random_model(seed: int) -> trainer.GbocModel:
+    """A random model of format v2: encoder, normalizer, centers, radii and config."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     w = int(rng.integers(2, 8))
@@ -17,7 +18,6 @@ def random_model(seed: int) -> trainer.GbocModel:
     m_dec = int(rng.integers(2, 12))
     n_centers = int(rng.integers(1, 9))
     enc = neural.init_encoder(d, h, layers, rng)
-    dec = neural.init_decoder(layers * h, w * d, m_dec, rng)
     cfg = trainer.TrainConfig(
         window=w,
         stride=int(rng.integers(1, 4)),
@@ -37,7 +37,6 @@ def random_model(seed: int) -> trainer.GbocModel:
     )
     return trainer.GbocModel(
         encoder=enc,
-        decoder=dec,
         norm=tsdata.NormStats(mean=rng.normal(size=d), std=np.abs(rng.normal(size=d)) + 0.1),
         centers=rng.normal(size=(n_centers, layers * h)),
         radii=np.abs(rng.normal(size=n_centers)),
@@ -67,7 +66,6 @@ class TestRoundTrip:
             assert np.array_equal(a.W, b.W)
             assert np.array_equal(a.U, b.U)
             assert np.array_equal(a.b, b.b)
-        assert np.array_equal(loaded.decoder.W2, model.decoder.W2)
         assert loaded.config == model.config
 
     def test_trained_model_round_trips(self, tmp_path):
@@ -78,6 +76,29 @@ class TestRoundTrip:
         model_io.save_model(model, p)
         loaded = model_io.load_model(p)
         assert np.array_equal(loaded.centers, model.centers)
+
+
+class TestLayout:
+    def test_byte_count_follows_from_the_dims(self):
+        # no decoder block: the encoder, centers and radii are all the arrays
+        for seed in range(20):
+            model = random_model(seed)
+            enc = model.encoder
+            d, h, m = enc.input_size, enc.hidden_size, model.centers.shape[0]
+            weights = sum(4 * h * (d if l == 0 else h) + 4 * h * h + 4 * h for l in range(enc.num_layers))
+            reals = 2 * d + weights + m * enc.latent_size + m
+            # magic, version, six dims and the center count; then the tail:
+            # decoder_hidden, epochs, batch_size, s_min and rebuild_every as
+            # u32, three u32 flags, lr, lam and mu as f64, and the u64 seed
+            header = 4 + 4 + 6 * 4 + 4
+            tail = 5 * 4 + 3 * 4 + 3 * 8 + 8
+            assert len(model_io._dump(model)) == header + 8 * reals + tail
+
+    def test_version_1_rejected_with_retrain_hint(self):
+        blob = model_io._dump(random_model(9))
+        assert blob[4:8] == struct.pack("<I", 2)
+        with pytest.raises(VersionUnsupported, match="retrain"):
+            model_io._parse(blob[:4] + struct.pack("<I", 1) + blob[8:])
 
 
 class TestRejection:
@@ -114,7 +135,7 @@ class TestRejection:
     def test_zero_centers_rejected(self, tmp_path):
         model = random_model(4)
         blob = bytearray(model_io._dump(model))
-        # the center-count u32 sits right after the decoder block
+        # the center-count u32 sits right after the last encoder layer
         m = model.centers.shape[0]
         pattern = struct.pack("<I", m) + model.centers.astype("<f8").tobytes()
         idx = bytes(blob).index(pattern)
@@ -144,11 +165,9 @@ class TestRejection:
         with pytest.raises(MissingFile):
             model_io.load_model(tmp_path / "absent.gboc")
 
-    # the tail ends with the gbc_off, prune_off, assign_unpruned and retired
-    # child-support flags, one u32 each
-    @pytest.mark.parametrize(
-        "from_end", [16, 12, 8, 4], ids=["gbc_off", "prune_off", "assign_unpruned", "child_support"]
-    )
+    # the tail ends with the gbc_off, prune_off and assign_unpruned flags, one
+    # u32 each
+    @pytest.mark.parametrize("from_end", [12, 8, 4], ids=["gbc_off", "prune_off", "assign_unpruned"])
     @pytest.mark.parametrize("value", [2, 7, 2**32 - 1])
     def test_flag_slot_other_than_0_or_1_rejected(self, from_end, value):
         blob = bytearray(model_io._dump(random_model(7)))
@@ -156,14 +175,8 @@ class TestRejection:
         with pytest.raises(InvariantViolation, match="flag"):
             model_io._parse(bytes(blob))
 
-    def test_child_support_slot_always_1(self):
-        blob = model_io._dump(random_model(8))
-        assert blob[-4:] == struct.pack("<I", 1)
-        with pytest.raises(InvariantViolation, match="child-support"):
-            model_io._parse(blob[:-4] + struct.pack("<I", 0))
-
     def test_config_tail_and_dimensions_store_every_config_field(self):
-        dims = {"window", "stride", "layers", "hidden", "decoder_hidden"}
+        dims = {"window", "stride", "layers", "hidden"}
         tail = [name for name, _ in model_io._CONFIG_TAIL]
         assert len(tail) == len(set(tail)) and not dims & set(tail)
         assert dims | set(tail) == {f.name for f in dataclasses.fields(trainer.TrainConfig)}

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from gboc import granular, neural
 from gboc.errors import ShapeMismatch
 from oracles import (
+    DictAdam,
+    decode_batch,
+    dict_adam_step,
     fd_gradient_check,
     full_step_backward,
     full_step_forward,
     naive_decode,
     naive_encode,
+    per_tensor_backward,
     random_small_net,
     two_branch_sigmoid,
     unblocked_encode,
@@ -127,11 +131,12 @@ class TestZeroStateFirstStep:
         z_full, cache_full = full_step_forward(enc, X)
         assert z.tobytes() == z_full.tobytes()
         assert neural.encode_batch(enc, X).tobytes() == z_full.tobytes()
-        grads = neural._backward_encoder(enc, cache, dZ)
+        grads = [np.zeros_like(getattr(layer, k)) for layer in enc.layers for k in ("W", "U", "b")]
+        neural._backward_encoder(enc, cache, dZ, grads)
         grads_full = full_step_backward(enc, cache_full, dZ)
-        assert grads.keys() == grads_full.keys()
-        for name, g in grads.items():
-            assert g.tobytes() == grads_full[name].tobytes(), name
+        assert len(grads) == len(grads_full)
+        for i, (g, g_full) in enumerate(zip(grads, grads_full)):
+            assert g.tobytes() == g_full.tobytes(), i
 
     def test_underflowed_input_gate_gives_positive_zero_cell(self):
         # a very negative input drives i to exactly +0 and g to -1, so i * g is
@@ -171,14 +176,26 @@ class TestSigmoid:
         assert np.isnan(neural._sigmoid(np.array([np.nan, 1.0])))[0]
 
 
+def decoder_only_batch(seed, lat=5, out=3, B=4):
+    """A 1-layer encoder of `lat` units, a batch of B 2-step 1-channel windows,
+    their latents and one center per window."""
+    rng = np.random.default_rng(seed)
+    enc = neural.init_encoder(1, lat, 1, rng)
+    X = rng.normal(size=(B, 2, 1))
+    Z = neural.encode_batch(enc, X)
+    return enc, X, Z, rng.normal(size=(B, out)), np.arange(B), Z.copy()
+
+
 class TestDecode:
+    """The decoder serves only backward's reconstruction term."""
+
     def test_zero_params(self):
-        dec = neural.init_decoder(6, 4, 8, np.random.default_rng(7))
-        dec.W1[:] = 0.0
-        dec.b1[:] = 0.0
-        dec.W2[:] = 0.0
-        dec.b2[:] = 0.0
-        assert np.array_equal(neural.decode_batch(dec, np.ones(6)[None])[0], np.zeros(4))
+        enc, X, _, Y, assignment, centers = decoder_only_batch(7, out=4)
+        dec = neural.init_decoder(5, 4, 8, np.random.default_rng(7))
+        for a in (dec.W1, dec.b1, dec.W2, dec.b2):
+            a[:] = 0.0
+        _, _, l_rec, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
+        assert l_rec == float(np.sum(Y * Y) / Y.shape[0])
 
     def test_identity_construction_gives_tanh_prefix(self):
         d_lat, out = 5, 3
@@ -188,19 +205,23 @@ class TestDecode:
             W2=np.eye(out, d_lat),
             b2=np.zeros(out),
         )
-        z = np.array([0.3, -0.8, 1.5, 0.0, 2.0])
-        assert np.allclose(neural.decode_batch(dec, z[None])[0], np.tanh(z)[:out], atol=1e-15)
+        enc, X, Z, _, assignment, centers = decoder_only_batch(8, d_lat, out)
+        _, _, l_rec, _ = neural.backward(enc, dec, X, np.tanh(Z)[:, :out], centers, assignment, 1.0)
+        assert l_rec < 1e-28
 
     def test_matches_naive_reference(self):
-        rng = np.random.default_rng(8)
-        dec = neural.init_decoder(6, 10, 7, rng)
-        z = rng.normal(size=6)
-        assert np.max(np.abs(neural.decode_batch(dec, z[None])[0] - naive_decode(dec, z))) < 1e-12
+        enc, X, Z, Y, assignment, centers = decoder_only_batch(9, out=2)
+        dec = neural.init_decoder(5, 2, 7, np.random.default_rng(8))
+        _, _, l_rec, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
+        naive = sum(float(np.sum((naive_decode(dec, naive_encode(enc, x)) - y) ** 2)) for x, y in zip(X, Y))
+        assert l_rec == pytest.approx(naive / X.shape[0], rel=1e-12)
+        assert np.max(np.abs(decode_batch(dec, Z) - np.array([naive_decode(dec, z) for z in Z]))) < 1e-12
 
     def test_shape_mismatch(self):
-        dec = neural.init_decoder(6, 4, 8, np.random.default_rng(9))
+        enc, X, _, Y, assignment, centers = decoder_only_batch(10, out=3)
+        dec = neural.init_decoder(5, 4, 8, np.random.default_rng(9))
         with pytest.raises(ShapeMismatch):
-            neural.decode_batch(dec, np.zeros(5)[None])
+            neural.backward(enc, dec, X, Y, centers, assignment, 0.5)
 
 
 class TestBackward:
@@ -212,21 +233,22 @@ class TestBackward:
         # the centers are moved arbitrarily
         far = centers + 100.0
         grads_far, _, _, _ = neural.backward(enc, dec, X, Y, far, assignment, 1.0)
-        for k in grads_full:
-            assert np.array_equal(grads_full[k], grads_far[k])
+        assert np.array_equal(grads_full, grads_far)
 
     def test_lambda_zero_decoder_grads_vanish(self):
         enc, dec, X, Y, centers, assignment = random_small_net(102)
-        grads, loss, l_rec, l_gb = neural.backward(enc, dec, X, Y, centers, assignment, 0.0)
+        grad, loss, l_rec, l_gb = neural.backward(enc, dec, X, Y, centers, assignment, 0.0)
         assert loss == pytest.approx(l_gb)
-        for k in ("dec.W1", "dec.b1", "dec.W2", "dec.b2"):
-            assert np.all(grads[k] == 0.0)
+        n_dec = sum(a.size for a in (dec.W1, dec.b1, dec.W2, dec.b2))
+        # the decoder's tensors are the vector's last entries
+        assert np.all(grad[-n_dec:] == 0.0)
+        assert np.any(grad[:-n_dec] != 0.0)
 
     def test_loss_equals_forward_recomputation(self):
         enc, dec, X, Y, centers, assignment = random_small_net(103)
         _, loss, l_rec, l_gb = neural.backward(enc, dec, X, Y, centers, assignment, 0.5)
         Z = neural.encode_batch(enc, X)
-        R = neural.decode_batch(dec, Z)
+        R = decode_batch(dec, Z)
         rec = float(np.sum((R - Y) ** 2) / X.shape[0])
         gb = float(np.sum((Z - centers[assignment]) ** 2) / X.shape[0])
         assert l_rec == pytest.approx(rec, rel=1e-12)
@@ -238,11 +260,30 @@ class TestBackward:
         enc, dec, X, Y, centers, _ = random_small_net(seed)
         explicit, _ = granular.nearest_centers(centers, neural.encode_batch(enc, X))
         for lam in (0.0, 0.5, 1.0):
-            grads_a, *losses_a = neural.backward(enc, dec, X, Y, centers, explicit, lam)
-            grads_b, *losses_b = neural.backward(enc, dec, X, Y, centers, None, lam)
+            grad_a, *losses_a = neural.backward(enc, dec, X, Y, centers, explicit, lam)
+            grad_b, *losses_b = neural.backward(enc, dec, X, Y, centers, None, lam)
             assert losses_a == losses_b
-            assert grads_a.keys() == grads_b.keys()
-            assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
+            assert np.array_equal(grad_a, grad_b)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 201, 202, 203, 204, 205])
+    def test_flat_gradient_bitwise_equals_per_tensor_oracle(self, seed):
+        enc, dec, X, Y, centers, assignment = random_small_net(seed)
+        for lam in (0.0, 0.3, 1.0):
+            grad, *_ = neural.backward(enc, dec, X, Y, centers, assignment, lam)
+            oracle = per_tensor_backward(enc, dec, X, Y, centers, assignment, lam)
+            assert grad.tobytes() == np.concatenate([g.ravel() for g in oracle]).tobytes()
+
+    def test_every_field_is_a_view_of_the_flat_vector(self):
+        enc, dec, *_ = random_small_net(104)
+        before = [layer.W.copy() for layer in enc.layers] + [dec.W2.copy()]
+        flat = neural.flatten_params(enc, dec)
+        fields = [getattr(layer, k) for layer in enc.layers for k in ("W", "U", "b")]
+        fields += [dec.W1, dec.b1, dec.W2, dec.b2]
+        assert all(np.shares_memory(a, flat) for a in fields)
+        assert flat.size == sum(a.size for a in fields)
+        assert all(np.array_equal(a, b) for a, b in zip(before, [layer.W for layer in enc.layers] + [dec.W2]))
+        flat[:] = 0.5
+        assert all(np.all(a == 0.5) for a in fields)
 
     def test_finite_difference_small_config(self):
         rng = np.random.default_rng(55)
@@ -256,35 +297,67 @@ class TestBackward:
         assert worst < 1e-4
 
 
+# gradients from subnormal to large, whose squares stay finite
+ADAM_GRAD = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = {"x": np.array([1.0, -2.0])}
+        p = np.array([1.0, -2.0])
         state = neural.init_adam(p, lr=0.1)
-        neural.opt_step(state, p, {"x": np.zeros(2)})
-        assert np.array_equal(p["x"], np.array([1.0, -2.0]))
+        neural.opt_step(state, p, np.zeros(2))
+        assert np.array_equal(p, np.array([1.0, -2.0]))
 
     def test_first_step_hand_formula(self):
         g = 0.37
         lr = 0.05
-        p = {"x": np.array([2.0])}
+        p = np.array([2.0])
         state = neural.init_adam(p, lr=lr)
-        neural.opt_step(state, p, {"x": np.array([g])})
+        neural.opt_step(state, p, np.array([g]))
         expected = 2.0 - lr * g / (abs(g) + state.eps)
-        assert p["x"][0] == pytest.approx(expected, rel=1e-12)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
-        p = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
-        g = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
+        p = rng.normal(size=10)
+        g = rng.normal(size=10)
         s1 = neural.init_adam(p, lr=1e-3)
-        p1 = copy.deepcopy(p)
-        p2 = copy.deepcopy(p)
+        p1 = p.copy()
+        p2 = p.copy()
         s2 = copy.deepcopy(s1)
         for _ in range(3):
             neural.opt_step(s1, p1, g)
             neural.opt_step(s2, p2, g)
-        for k in p:
-            assert np.array_equal(p1[k], p2[k])
+        assert np.array_equal(p1, p2)
+
+    def test_gradient_shape_mismatch(self):
+        p = np.zeros(4)
+        state = neural.init_adam(p)
+        with pytest.raises(ShapeMismatch):
+            neural.opt_step(state, p, np.zeros(5))
+        assert state.step == 0
+
+    @given(
+        shapes=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2), min_size=1, max_size=4),
+        lr=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_flat_steps_bitwise_equal_per_dict_adam(self, shapes, lr, seed, data):
+        rng = np.random.default_rng(seed)
+        params = {f"t{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        flat = np.concatenate([p.ravel() for p in params.values()])
+        state, oracle = neural.init_adam(flat, lr=lr), DictAdam(lr=lr)
+        for _ in range(5):
+            grad = np.array(data.draw(st.lists(ADAM_GRAD, min_size=flat.size, max_size=flat.size)))
+            grads, start = {}, 0
+            for k, p in params.items():
+                grads[k] = grad[start : start + p.size].reshape(p.shape)
+                start += p.size
+            neural.opt_step(state, flat, grad)
+            dict_adam_step(oracle, params, grads)
+            assert flat.tobytes() == np.concatenate([p.ravel() for p in params.values()]).tobytes()
 
     def test_loss_decrease_smoke(self):
         # 200 steps at lambda=1 on a fixed tiny dataset halve the
@@ -298,11 +371,11 @@ class TestAdam:
         dec = neural.init_decoder(4, 3, 8, rng)
         centers = np.zeros((1, 4))
         assignment = np.zeros(16, dtype=np.int64)
-        params = neural.param_dict(enc, dec)
+        params = neural.flatten_params(enc, dec)
         opt = neural.init_adam(params, lr=1e-2)
         _, first, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
         for _ in range(200):
-            grads, loss, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
-            neural.opt_step(opt, params, grads)
+            grad, loss, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
+            neural.opt_step(opt, params, grad)
         _, last, _, _ = neural.backward(enc, dec, X, Y, centers, assignment, 1.0)
         assert last <= 0.5 * first

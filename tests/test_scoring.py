@@ -11,13 +11,11 @@ from oracles import brute_force_windows_to_points
 def make_model(seed=0, window=3, d=1, hidden=4, layers=1, centers=None) -> trainer.GbocModel:
     rng = np.random.default_rng(seed)
     enc = neural.init_encoder(d, hidden, layers, rng)
-    dec = neural.init_decoder(layers * hidden, window * d, 8, rng)
     if centers is None:
         centers = rng.normal(size=(3, layers * hidden))
     centers = np.asarray(centers, dtype=np.float64)
     return trainer.GbocModel(
         encoder=enc,
-        decoder=dec,
         norm=tsdata.NormStats(mean=np.zeros(d), std=np.ones(d)),
         centers=centers,
         radii=np.zeros(centers.shape[0]),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import read_curve
+from oracles import decode_batch
 import gboc
 from gboc import cli, granular, model_io, neural, trainer, tsdata
 from gboc.errors import BadParams, EmptySet, NonFiniteLoss
@@ -31,8 +32,7 @@ def zero_net(d_lat: int, out: int):
     rng = np.random.default_rng(0)
     enc = neural.init_encoder(1, d_lat, 1, rng)
     dec = neural.init_decoder(d_lat, out, 3, rng)
-    for a in neural.param_dict(enc, dec).values():
-        a[:] = 0.0
+    neural.flatten_params(enc, dec)[:] = 0.0
     return enc, dec
 
 
@@ -85,7 +85,7 @@ class TestLosses:
         dec = neural.init_decoder(3, 7, 4, rng)
         X = rng.normal(size=(5, 7, 1))
         r = rng.normal(size=(5, 7))
-        x = neural.decode_batch(dec, neural.encode_batch(enc, X))
+        x = decode_batch(dec, neural.encode_batch(enc, X))
         total = 0.0
         for i in range(5):
             for j in range(7):
@@ -115,15 +115,21 @@ class TestTrain:
         for r in reports:
             assert r.balls_after <= r.balls_before
 
-    def test_lambda_zero_leaves_decoder_untouched(self):
+    def test_lambda_zero_leaves_decoder_untouched(self, monkeypatch):
+        # train keeps its decoder to itself; catch the one it initializes
+        made = []
+        init_decoder = neural.init_decoder
+        monkeypatch.setattr(neural, "init_decoder", lambda *args: made.append(init_decoder(*args)) or made[-1])
         ts = tiny_series()
         cfg = tiny_config(lam=0.0)
         model, _ = trainer.train(ts, cfg)
+        assert not hasattr(model, "decoder")
         rng = np.random.default_rng([cfg.seed, 1])
         neural.init_encoder(ts.d, cfg.hidden, cfg.layers, rng)
-        fresh_dec = neural.init_decoder(cfg.layers * cfg.hidden, cfg.window * ts.d, cfg.decoder_hidden, rng)
-        assert np.array_equal(model.decoder.W1, fresh_dec.W1)
-        assert np.array_equal(model.decoder.W2, fresh_dec.W2)
+        fresh_dec = init_decoder(cfg.layers * cfg.hidden, cfg.window * ts.d, cfg.decoder_hidden, rng)
+        (trained,) = made
+        for k in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(trained, k), getattr(fresh_dec, k))
 
     def test_lambda_one_still_reports_alignment(self):
         ts = tiny_series()
