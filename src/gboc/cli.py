@@ -79,9 +79,9 @@ def _add_detect(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--label-col", default=None, help="carry this label column into the report")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="report CSV")
-    p.add_argument("--scores-only", action="store_true", help="emit t,point_score only (no thresholding)")
-    p.add_argument("--threshold-fit", choices=("self", "validation"), default="self")
-    p.add_argument("--val-csv", default=None, help="normal series for --threshold-fit validation")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--scores-only", action="store_true", help="emit t,point_score only (no thresholding)")
+    threshold.add_argument("--val-csv", help="fit the 3-sigma threshold on this normal series, not the scored one")
     p.set_defaults(func=cmd_detect)
 
 
@@ -155,13 +155,11 @@ def _load_for_model(path: str, label_col: str | None, n_channels: int) -> tsdata
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    if args.threshold_fit == "validation" and not args.val_csv:
-        raise ParseError("--threshold-fit validation requires --val-csv")
     _check_out_dirs(args.out)
     model = load_model(args.model)
     ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
     threshold_scores = None
-    if args.threshold_fit == "validation":
+    if args.val_csv is not None:
         val_ts = _load_for_model(args.val_csv, args.label_col, model.encoder.input_size)
         threshold_scores = scoring.detect(model, val_ts).point_scores
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)

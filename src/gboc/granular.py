@@ -279,7 +279,7 @@ def kmeans_balls(latents: np.ndarray, seed: int) -> tuple[list[GranularBall], np
     return balls, rng
 
 
-def generate(latents: np.ndarray, s_min: int = 8, seed: int = 0) -> GbSet:
+def generate(latents: np.ndarray, s_min: int, seed: int) -> GbSet:
     """Build the unpruned ball set over N latent vectors.
 
     Starts from the kmeans_balls clusters, all open. Each sweep passes the

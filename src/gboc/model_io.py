@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
+from .errors import BadMagic, BadParams, InvariantViolation, MissingFile, TruncatedFile, VersionUnsupported
 from .neural import EncoderParams, LstmLayer
 from .trainer import GbocModel, TrainConfig
 from .tsdata import NormStats
@@ -152,7 +152,10 @@ def _parse(buf: bytes) -> GbocModel:
     centers = r.array((m, latent))
     radii = r.array((m,))
     tail = {name: getattr(r, kind)() for name, kind in _CONFIG_TAIL}
-    cfg = TrainConfig(window=window, stride=stride, layers=layers, hidden=hidden, **tail)
+    try:
+        cfg = TrainConfig(window=window, stride=stride, layers=layers, hidden=hidden, **tail)
+    except BadParams as exc:
+        raise InvariantViolation(f"model file's config is invalid: {exc}") from None
     r.done()
     model = GbocModel(
         encoder=EncoderParams(input_size=d, hidden_size=hidden, layers=enc_layers),

@@ -33,6 +33,11 @@ from .errors import NonFiniteGradient, ShapeMismatch
 # every timestep
 ENCODE_BLOCK = 512
 
+# Adam's first- and second-moment decay rates and its denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """exp(min(x, 0)) / (1 + exp(-|x|)), computed in two fresh buffers.
@@ -315,28 +320,25 @@ def backward(
 class AdamState:
     """Bias-corrected adaptive-moment optimizer state for one flat parameter vector."""
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    lr: float
+    step: int
+    m: np.ndarray
+    v: np.ndarray
 
 
-def init_adam(params: np.ndarray, lr: float = 1e-4) -> AdamState:
-    return AdamState(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
+def init_adam(params: np.ndarray, lr: float) -> AdamState:
+    return AdamState(lr=lr, step=0, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def opt_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
-    """In-place bias-corrected update: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    """In-place bias-corrected update: p -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)."""
     if grad.shape != params.shape:
         raise ShapeMismatch(f"gradient shape {grad.shape} does not match parameters {params.shape}")
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grad * grad)
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grad * grad)
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)

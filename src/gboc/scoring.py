@@ -13,7 +13,6 @@ from .trainer import GbocModel
 
 @dataclass(frozen=True)
 class AnomalyReport:
-    window_scores: np.ndarray  # (N_w,)
     point_scores: np.ndarray  # (T,)
     threshold: float
     flags: np.ndarray  # (T,) 0/1
@@ -66,14 +65,12 @@ def windows_to_points(window_scores: np.ndarray, starts: np.ndarray, w: int, T: 
     return out
 
 
-def threshold_3sigma(point_scores: np.ndarray) -> tuple[float, np.ndarray]:
-    """Threshold at mean + 3 * population std; flags are strictly above it."""
+def threshold_3sigma(point_scores: np.ndarray) -> float:
+    """Mean + 3 * population std of the scores; points strictly above it are flagged."""
     scores = np.asarray(point_scores, dtype=np.float64)
     if scores.size < 1:
         raise BadParams("need at least one score")
-    threshold = float(scores.mean() + 3.0 * scores.std())
-    flags = (scores > threshold).astype(np.int64)
-    return threshold, flags
+    return float(scores.mean() + 3.0 * scores.std())
 
 
 def detect(
@@ -92,6 +89,6 @@ def detect(
     wscores = score_windows(model, ws)
     pscores = windows_to_points(wscores, ws.starts, model.config.window, test_ts.T)
     fit_on = pscores if threshold_scores is None else np.asarray(threshold_scores, dtype=np.float64)
-    threshold, _ = threshold_3sigma(fit_on)
+    threshold = threshold_3sigma(fit_on)
     flags = (pscores > threshold).astype(np.int64)
-    return AnomalyReport(window_scores=wscores, point_scores=pscores, threshold=threshold, flags=flags)
+    return AnomalyReport(point_scores=pscores, threshold=threshold, flags=flags)

@@ -10,6 +10,7 @@ shipped model. Fully deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -170,11 +171,7 @@ def train(
             )
 
     _, shipped, _, _ = _build_balls(enc, X, cfg, cfg.epochs + 1, verbose)
-    model = GbocModel(
-        encoder=enc,
-        norm=stats,
-        centers=shipped.centers.copy(),
-        radii=shipped.radii.copy(),
-        config=cfg,
-    )
+    # enc's tensors are views into params, which holds the decoder too; the
+    # model keeps copies that own their data
+    model = GbocModel(copy.deepcopy(enc), stats, shipped.centers, shipped.radii, cfg)
     return model, reports

@@ -71,7 +71,6 @@ class WindowSet:
     windows: np.ndarray  # (N_w, w*d)
     starts: np.ndarray  # (N_w,)
     window_len: int
-    stride: int
     n_channels: int
 
     @property
@@ -272,7 +271,7 @@ def apply_normalizer(ts: TimeSeries, stats: NormStats) -> TimeSeries:
     return TimeSeries(values=values, labels=ts.labels, channel_names=list(ts.channel_names))
 
 
-def make_windows(ts: TimeSeries, w: int, stride: int = 1) -> WindowSet:
+def make_windows(ts: TimeSeries, w: int, stride: int) -> WindowSet:
     """Cut overlapping length-w windows at the given stride, flattened timestep-major."""
     if w < 1 or stride < 1:
         raise BadParams("window length and stride must be positive")
@@ -282,7 +281,7 @@ def make_windows(ts: TimeSeries, w: int, stride: int = 1) -> WindowSet:
     starts = np.arange(n, dtype=np.int64) * stride
     view = np.lib.stride_tricks.sliding_window_view(ts.values, (w, ts.d))[::stride, 0]
     windows = np.array(view.reshape(n, w * ts.d), dtype=np.float64)
-    return WindowSet(windows=windows, starts=starts, window_len=w, stride=stride, n_channels=ts.d)
+    return WindowSet(windows=windows, starts=starts, window_len=w, n_channels=ts.d)
 
 
 @dataclass(frozen=True)

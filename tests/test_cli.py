@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_report, run_cli_pipeline
-from gboc import cli, model_io, tsdata
+from gboc import cli, model_io, scoring, tsdata
 from gboc.trainer import TrainConfig
 
 
@@ -102,33 +102,45 @@ class TestPipeline:
         assert header == "t,point_score"
 
     def test_threshold_fit_validation(self, small_pipeline, tmp_path, capsys):
-        out = tmp_path / "report_val.csv"
+        # --val-csv alone fits the threshold on the validation series
+        data, out = small_pipeline["data"], tmp_path / "report_val.csv"
         rc = cli.main(
             [
                 "detect",
-                "--test-csv", str(small_pipeline["data"] / "test.csv"),
+                "--test-csv", str(data / "test.csv"),
                 "--label-col", "label",
                 "--model", str(small_pipeline["model"]),
                 "--out", str(out),
-                "--threshold-fit", "validation",
-                "--val-csv", str(small_pipeline["data"] / "train.csv"),
+                "--val-csv", str(data / "train.csv"),
             ]
         )
         assert rc == 0
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        model = model_io.load_model(small_pipeline["model"])
+        ts = tsdata.load_csv(data / "test.csv", label_column="label")
+        val_ts = tsdata.load_csv(data / "train.csv", label_column="label")
+        report = scoring.detect(model, ts, threshold_scores=scoring.detect(model, val_ts).point_scores)
+        assert report.threshold != scoring.detect(model, ts).threshold
+        assert f"threshold {report.threshold:.17g}," in err
+        expected = tmp_path / "expected.csv"
+        columns = [np.arange(ts.T), report.point_scores, report.flags, ts.labels]
+        tsdata.write_csv(expected, ["t", "point_score", "flag", "label"], columns)
+        assert out.read_bytes() == expected.read_bytes()
 
-    def test_threshold_fit_validation_requires_val_csv(self, small_pipeline, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "detect",
-                "--test-csv", str(small_pipeline["data"] / "test.csv"),
-                "--model", str(small_pipeline["model"]),
-                "--out", str(tmp_path / "r.csv"),
-                "--threshold-fit", "validation",
-            ]
-        )
-        assert rc == 1
-        assert "val-csv" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags", [["--scores-only", "--val-csv", "train.csv"], ["--threshold-fit", "validation"]],
+        ids=["scores_only_with_val_csv", "threshold_fit"],
+    )
+    def test_detect_usage_error(self, small_pipeline, tmp_path, capsys, flags):
+        # --scores-only sets no threshold, so a validation series has no use;
+        # there is no --threshold-fit: --val-csv alone names the threshold source
+        argv = ["detect", "--test-csv", str(small_pipeline["data"] / "test.csv"), "--model",
+                str(small_pipeline["model"]), "--out", str(tmp_path / "r.csv"), *flags]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_every_csv_gboc_writes_loads_without_the_csv_module(self, tmp_path, monkeypatch, capsys):
         # np.loadtxt reads a plain file several times faster than the csv
@@ -510,7 +522,7 @@ def _valid_argv(command: str, files: dict) -> dict[str, str | None]:
                   "--decoder-hidden": "64", "--epochs": "1", "--batch": "32", "--lr": "1e-4", "--lambda": "0.5",
                   "--smin": "8", "--mu": "2", "--seed": "1", "--rebuild-every": "1", "--quiet": None},
         "detect": {"--test-csv": f"{data}/test.csv", "--label-col": "label", "--model": model,
-                   "--out": "report.csv", "--threshold-fit": "validation", "--val-csv": f"{data}/train.csv"},
+                   "--out": "report.csv", "--val-csv": f"{data}/train.csv"},
         "eval": {"--report": report, "--delta-set": "0,1", "--sigma-aff": "1", "--window": "2",
                  "--out": "per_delta.csv"},
         "dump-balls": {"--model": model, "--out": "balls.csv"},

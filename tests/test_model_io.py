@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -174,6 +175,31 @@ class TestRejection:
         blob[len(blob) - from_end : len(blob) - from_end + 4] = struct.pack("<I", value)
         with pytest.raises(InvariantViolation, match="flag"):
             model_io._parse(bytes(blob))
+
+    # a config slot TrainConfig rejects is an error of the file, not of
+    # train options
+    @pytest.mark.parametrize(
+        "name, packed",
+        [("decoder_hidden", struct.pack("<I", 0)), ("epochs", struct.pack("<I", 0)), ("lam", struct.pack("<d", 2.0)),
+         ("lr", struct.pack("<d", math.nan)), ("mu", struct.pack("<d", -1.0))],
+        ids=["decoder_hidden", "epochs", "lam", "lr", "mu"],
+    )
+    def test_out_of_range_config_slot_is_a_file_error(self, name, packed):
+        blob = bytearray(model_io._dump(random_model(7)))
+        names = [n for n, _ in model_io._CONFIG_TAIL]
+        size = {"u32": 4, "flag": 4, "f64": 8, "u64": 8}
+        start = len(blob) - sum(size[kind] for _, kind in model_io._CONFIG_TAIL[names.index(name) :])
+        blob[start : start + len(packed)] = packed
+        with pytest.raises(InvariantViolation, match="model file's config"):
+            model_io._parse(bytes(blob))
+
+    def test_four_layers_in_the_header_is_a_file_error(self):
+        model = random_model(7)
+        rng = np.random.default_rng(0)
+        model.encoder = neural.init_encoder(model.encoder.input_size, model.encoder.hidden_size, 4, rng)
+        model.centers = rng.normal(size=(model.centers.shape[0], model.encoder.latent_size))
+        with pytest.raises(InvariantViolation, match="model file's config"):
+            model_io._parse(model_io._dump(model))
 
     def test_config_tail_and_dimensions_store_every_config_field(self):
         dims = {"window", "stride", "layers", "hidden"}

@@ -314,7 +314,7 @@ class TestAdam:
         p = np.array([2.0])
         state = neural.init_adam(p, lr=lr)
         neural.opt_step(state, p, np.array([g]))
-        expected = 2.0 - lr * g / (abs(g) + state.eps)
+        expected = 2.0 - lr * g / (abs(g) + neural.ADAM_EPS)
         assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_determinism(self):
@@ -332,7 +332,7 @@ class TestAdam:
 
     def test_gradient_shape_mismatch(self):
         p = np.zeros(4)
-        state = neural.init_adam(p)
+        state = neural.init_adam(p, lr=1e-4)
         with pytest.raises(ShapeMismatch):
             neural.opt_step(state, p, np.zeros(5))
         assert state.step == 0

@@ -116,21 +116,23 @@ class TestWindowsToPoints:
 
 class TestThreshold:
     def test_constant_scores_flag_nothing(self):
-        threshold, flags = scoring.threshold_3sigma(np.full(10, 2.0))
-        assert threshold == 2.0
-        assert flags.sum() == 0
+        s = np.full(10, 2.0)
+        threshold = scoring.threshold_3sigma(s)
+        assert type(threshold) is float and threshold == 2.0
+        assert np.count_nonzero(s > threshold) == 0
 
     def test_hand_case_one_outlier(self):
         s = np.zeros(100)
         s[42] = 100.0
-        threshold, flags = scoring.threshold_3sigma(s)
+        threshold = scoring.threshold_3sigma(s)
         assert threshold == pytest.approx(1.0 + 3.0 * np.sqrt(99.0), rel=1e-12)
-        assert flags.sum() == 1 and flags[42] == 1
+        assert np.flatnonzero(s > threshold).tolist() == [42]
 
     def test_small_sample_blind_spot(self):
-        threshold, flags = scoring.threshold_3sigma(np.array([0.0, 0.0, 0.0, 0.0, 100.0]))
+        s = np.array([0.0, 0.0, 0.0, 0.0, 100.0])
+        threshold = scoring.threshold_3sigma(s)
         assert threshold == pytest.approx(140.0)
-        assert flags.sum() == 0
+        assert np.count_nonzero(s > threshold) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(BadParams):

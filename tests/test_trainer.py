@@ -205,6 +205,13 @@ class TestTrain:
         assert model.radii.shape == (model.centers.shape[0],)
         assert np.all(model.radii >= 0)
 
+    def test_model_tensors_own_their_data(self):
+        # training's tensors are views into one vector that holds the decoder
+        # too; a view in the model would keep the decoder alive
+        model, _ = trainer.train(tiny_series(), tiny_config(layers=2))
+        tensors = [getattr(layer, k) for layer in model.encoder.layers for k in ("W", "U", "b")]
+        assert all(a.base is None for a in [*tensors, model.centers, model.radii])
+
 
 def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     """The coarse k-means of a T=300 fit ranks centers through a matrix
