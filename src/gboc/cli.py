@@ -154,25 +154,42 @@ def _load_for_model(path: str, label_col: str | None, n_channels: int) -> tsdata
     return ts
 
 
+def _load_validation(path: str, label_col: str | None, n_channels: int) -> tsdata.TimeSeries:
+    """The --val-csv series. Its labels go unread, so --label-col names a
+    column to drop only when the file's header has it. A load error names
+    the file."""
+    try:
+        try:
+            return _load_for_model(path, label_col, n_channels)
+        except ParseError as exc:
+            if label_col is None or (exc.row, exc.col) != (0, label_col):
+                raise
+        return _load_for_model(path, None, n_channels)
+    except GbocError as exc:
+        if path not in str(exc):
+            exc.args = (f"--val-csv {path}: {exc}",)
+        raise
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out)
     model = load_model(args.model)
     ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
     threshold_scores = None
     if args.val_csv is not None:
-        val_ts = _load_for_model(args.val_csv, args.label_col, model.encoder.input_size)
+        val_ts = _load_validation(args.val_csv, args.label_col, model.encoder.input_size)
         threshold_scores = scoring.detect(model, val_ts).point_scores
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)
     columns = {"t": np.arange(ts.T), "point_score": report.point_scores}
-    if not args.scores_only:
+    if args.scores_only:
+        summary = "scores only"
+    else:
         columns["flag"] = report.flags
         if ts.labels is not None:
             columns["label"] = ts.labels
+        summary = f"threshold {report.threshold:.17g}, {int(report.flags.sum())} flags"
     tsdata.write_csv(args.out, list(columns), columns.values())
-    print(
-        f"report written to {args.out} (threshold {report.threshold:.17g}, {int(report.flags.sum())} flags)",
-        file=sys.stderr,
-    )
+    print(f"report written to {args.out} ({summary})", file=sys.stderr)
     return 0
 
 

@@ -19,6 +19,7 @@ input, forget, cell candidate, output.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +40,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """exp(min(x, 0)) / (1 + exp(-|x|)), computed in two fresh buffers.
+def _sigmoid(x: np.ndarray, out: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """exp(min(x, 0)) / (1 + exp(-|x|)), written into out with den as scratch.
 
     exp sees only non-positive arguments, and each sign gets the bits of its
     own branch, 1 / (1 + e^-x) or e^x / (1 + e^x). fmin maps NaN to 0, so a
     NaN comes out as the NaN of exp(-|x|), as it does in the branch form."""
-    den = np.abs(x)
+    np.abs(x, out=den)
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1
-    out = np.fmin(x, 0.0)
+    np.fmin(x, 0.0, out=out)
     np.exp(out, out=out)
     out /= den
     return out
@@ -148,69 +149,136 @@ def flatten_params(enc: EncoderParams, dec: DecoderParams) -> np.ndarray:
     return flat
 
 
+@dataclass
+class _StepArrays:
+    """Every array one cell step writes, each (rows, width)."""
+
+    a: np.ndarray  # gate pre-activations, 4h
+    rec: np.ndarray  # recurrent product h_prev U^T, 4h
+    den_if: np.ndarray  # input and forget gates' sigmoid scratch, 2h
+    i_f: np.ndarray  # input and forget gates, 2h
+    den_o: np.ndarray  # output gate's sigmoid scratch, h
+    o: np.ndarray  # output gate, h
+    g: np.ndarray  # cell candidate, h
+    ig: np.ndarray  # i * g, h
+    c: np.ndarray  # cell state, h
+    tanh_c: np.ndarray  # tanh of the cell state, h
+    h: np.ndarray  # hidden state, h
+
+    @classmethod
+    def empty(cls, rows: int, h: int) -> "_StepArrays":
+        return cls(*(np.empty((rows, k * h)) for k in (4, 4, 2, 2, 1, 1, 1, 1, 1, 1, 1)))
+
+    def head(self, rows: int) -> "_StepArrays":
+        """Views of the first rows of every array."""
+        return _StepArrays(*(arr[:rows] for arr in vars(self).values()))
+
+
+class _Workspace:
+    """The arrays of a no-cache forward pass over blocks of up to `rows`
+    windows: one set of step arrays, whose state arrays each step
+    overwrites; the output sequence of the layers below the top one, which
+    each such layer rewrites in place, since step t reads its input t
+    before it writes its output t; and the latents."""
+
+    def __init__(self, enc: EncoderParams, rows: int, w: int) -> None:
+        h = enc.hidden_size
+        self.step = _StepArrays.empty(rows, h)
+        self.seq = np.empty((rows if enc.num_layers > 1 else 0, w, h))
+        self.z = np.empty((rows, enc.latent_size))
+
+
 def _forward_encoder(
-    enc: EncoderParams, X: np.ndarray, keep_cache: bool
+    enc: EncoderParams, X: np.ndarray, keep_cache: bool, ws: _Workspace | None = None
 ) -> tuple[np.ndarray, list | None]:
     """Run the stack over X (B, w, d); return latents (B, L*h) and, optionally,
-    the per-layer per-step cache needed for BPTT."""
+    the per-layer per-step cache needed for BPTT.
+
+    With keep_cache, every step writes fresh arrays, which the cache holds;
+    without, every array lives in ws, and the latents returned are ws's."""
     B, w, d = X.shape
     if d != enc.input_size:
         raise ShapeMismatch(f"window has {d} channels, encoder expects {enc.input_size}")
     h = enc.hidden_size
+    top = enc.num_layers - 1
+    z = np.empty((B, enc.latent_size)) if keep_cache else ws.z[:B]
     seq = X
-    finals = []
     cache: list | None = [] if keep_cache else None
-    for layer in enc.layers:
-        hs = np.zeros((B, h))
-        cs = np.zeros((B, h))
-        outputs = np.empty((B, w, h))
-        steps = [] if keep_cache else None
+    for l, layer in enumerate(enc.layers):
+        # the top layer's output sequence is never read
+        if keep_cache:
+            hs, cs = np.zeros((B, h)), np.zeros((B, h))
+            outputs = np.empty((B, w, h)) if l < top else None
+            steps = []
+        else:
+            # step 0 reads neither state, so the reused arrays need no zeroing
+            out = ws.step.head(B)
+            hs, cs = out.h, out.c
+            outputs = ws.seq[:B] if l < top else None
         for t in range(w):
             xt = seq[:, t, :]
-            a = xt @ layer.W.T
+            if keep_cache:
+                out = _StepArrays.empty(B, h)
+            # the cell step, the same in both modes; out.h and out.c may be
+            # hs and cs themselves, each read before it is written
+            a = np.matmul(xt, layer.W.T, out=out.a)
             if t:
-                a += hs @ layer.U.T
+                a += np.matmul(hs, layer.U.T, out=out.rec)
             a += layer.b
-            i_f = _sigmoid(a[:, : 2 * h])
+            i_f = _sigmoid(a[:, : 2 * h], out.i_f, out.den_if)
             i, f = i_f[:, :h], i_f[:, h:]
-            g = np.tanh(a[:, 2 * h : 3 * h])
-            o = _sigmoid(a[:, 3 * h :])
+            g = np.tanh(a[:, 2 * h : 3 * h], out=out.g)
+            o = _sigmoid(a[:, 3 * h :], out.o, out.den_o)
             if t:
-                c_new = f * cs
-                c_new += i * g
+                c_new = np.multiply(f, cs, out=out.c)
+                c_new += np.multiply(i, g, out=out.ig)
             else:
                 # from zero state; adding +0.0, as f * c_prev would, turns the
                 # -0.0 of an underflowed i times a negative g into +0.0
-                c_new = i * g
+                c_new = np.multiply(i, g, out=out.c)
                 c_new += 0.0
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
+            tanh_c = np.tanh(c_new, out=out.tanh_c)
+            h_new = np.multiply(o, tanh_c, out=out.h)
             if keep_cache:
                 steps.append((xt, hs, cs, i, f, g, o, tanh_c))
             hs, cs = h_new, c_new
-            outputs[:, t, :] = h_new
-        finals.append(hs)
+            if outputs is not None:
+                outputs[:, t, :] = h_new
+        z[:, l * h : (l + 1) * h] = hs
         if keep_cache:
             cache.append((seq, steps))
         seq = outputs
-    z = np.concatenate(finals, axis=1)
     return z, cache
 
 
-def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
-    """Latent vectors for a batch of windows shaped (B, w, d).
+def encode_blocks(enc: EncoderParams, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Latents of a batch of windows shaped (B, w, d), one block of rows at a time.
 
-    The batch runs as max(1, B // ENCODE_BLOCK) equal blocks, so a block
-    holds the whole batch or at least ENCODE_BLOCK rows. A block of a few
-    rows would go to BLAS's small-matrix or vector kernels, which round
+    Yields (rows, z): the batch rows a block covers and their latents. The
+    batch runs as max(1, B // ENCODE_BLOCK) equal blocks, so a block holds
+    the whole batch or at least ENCODE_BLOCK rows. A block of a few rows
+    would go to BLAS's small-matrix or vector kernels, which round
     differently from its matrix kernel, and the latents would depend on B.
-    Each block writes its latents into the one (B, L*h) result.
+    Every block runs in one workspace sized for the largest, so z is
+    overwritten by the next block: use it before asking for the next one.
     """
     X = np.asarray(X, dtype=np.float64)
     n_blocks = max(1, X.shape[0] // ENCODE_BLOCK)
+    ws = _Workspace(enc, -(-X.shape[0] // n_blocks), X.shape[1])
+    start = 0
+    for x_block in np.array_split(X, n_blocks):
+        stop = start + x_block.shape[0]
+        yield slice(start, stop), _forward_encoder(enc, x_block, False, ws)[0]
+        start = stop
+
+
+def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
+    """Latent vectors (B, L*h) for a batch of windows shaped (B, w, d),
+    copied block by block from encode_blocks."""
+    X = np.asarray(X, dtype=np.float64)
     out = np.empty((X.shape[0], enc.latent_size))
-    for x_block, z_block in zip(np.array_split(X, n_blocks), np.array_split(out, n_blocks)):
-        z_block[...] = _forward_encoder(enc, x_block, keep_cache=False)[0]
+    for rows, z in encode_blocks(enc, X):
+        out[rows] = z
     return out
 
 

@@ -19,14 +19,21 @@ class AnomalyReport:
 
 
 def score_windows(model: GbocModel, ws: tsdata.WindowSet) -> np.ndarray:
-    """Distance from each window's latent to the nearest retained center."""
+    """Distance from each window's latent to the nearest retained center.
+
+    Each block of encode_blocks goes straight to the nearest-center search,
+    and only its distances are kept: no latent array of the whole series is
+    built. A row's nearest center and distance do not depend on the block
+    it is searched in, so the scores equal those of one search over every
+    latent, bit for bit."""
     if ws.window_len != model.config.window or ws.n_channels != model.encoder.input_size:
         raise ModelMismatch(
             f"windows are ({ws.window_len} x {ws.n_channels}), model expects "
             f"({model.config.window} x {model.encoder.input_size})"
         )
-    latents = neural.encode_batch(model.encoder, ws.as_sequences())
-    _, dists = granular.nearest_centers(model.centers, latents)
+    dists = np.empty(ws.n_windows)
+    for rows, z in neural.encode_blocks(model.encoder, ws.as_sequences()):
+        dists[rows] = granular.nearest_centers(model.centers, z)[1]
     return dists
 
 

@@ -142,6 +142,43 @@ class TestPipeline:
         assert "usage:" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_scores_only_stderr_names_no_threshold(self, small_pipeline, tmp_path, capsys):
+        # the report has no flag column, so stderr gives no threshold or flag count
+        out = tmp_path / "scores.csv"
+        argv = ["detect", "--test-csv", str(small_pipeline["data"] / "test.csv"), "--label-col", "label",
+                "--model", str(small_pipeline["model"]), "--out", str(out), "--scores-only"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == f"report written to {out} (scores only)\n"
+
+    def test_label_free_validation_series_gives_the_labelled_ones_report(self, small_pipeline, tmp_path, capsys):
+        data = small_pipeline["data"]
+        unlabelled = tmp_path / "train_v0.csv"
+        unlabelled.write_text("".join(line.split(",")[0] + "\n" for line in (data / "train.csv").read_text().splitlines()))
+        reports, errs = [], []
+        for val in (data / "train.csv", unlabelled):
+            out = tmp_path / f"report_{val.stem}.csv"
+            argv = ["detect", "--test-csv", str(data / "test.csv"), "--label-col", "label",
+                    "--model", str(small_pipeline["model"]), "--out", str(out), "--val-csv", str(val)]
+            assert cli.main(argv) == 0
+            reports.append(out.read_bytes())
+            errs.append(capsys.readouterr().err.replace(str(out), "OUT"))
+        assert reports[0] == reports[1]
+        assert errs[0] == errs[1] and "threshold " in errs[0]
+
+    @pytest.mark.parametrize(
+        "text", ["v0,label\n0.5,0\nnan,0\n", "v0,label\n0.5,0\n0.25,2\n", "", "v0,v1\n1,2\n"],
+        ids=["non_finite_cell", "bad_label", "empty", "two_channels"],
+    )
+    def test_validation_load_error_names_the_file(self, small_pipeline, tmp_path, capsys, text):
+        val = tmp_path / "val.csv"
+        val.write_text(text)
+        argv = ["detect", "--test-csv", str(small_pipeline["data"] / "test.csv"), "--label-col", "label",
+                "--model", str(small_pipeline["model"]), "--out", str(tmp_path / "r.csv"), "--val-csv", str(val)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(val) in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_every_csv_gboc_writes_loads_without_the_csv_module(self, tmp_path, monkeypatch, capsys):
         # np.loadtxt reads a plain file several times faster than the csv
         # module's path, so each file gboc writes, and reads back, must be plain

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gboc import neural, scoring, trainer, tsdata
+from gboc import granular, neural, scoring, trainer, tsdata
 from gboc.errors import BadParams, ModelMismatch
 from oracles import brute_force_windows_to_points
+
+BLOCK = neural.ENCODE_BLOCK
 
 
 def make_model(seed=0, window=3, d=1, hidden=4, layers=1, centers=None) -> trainer.GbocModel:
@@ -64,6 +68,34 @@ class TestScoreWindows:
         model.radii = np.zeros(model.centers.shape[0])
         after = scoring.score_windows(model, ws)
         assert np.all(after <= before + 1e-15)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 300, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bitwise_equal_to_one_search_over_every_latent(self, n, layers):
+        rng = np.random.default_rng(n + layers)
+        ws = tsdata.make_windows(tsdata.TimeSeries(values=rng.normal(size=(n + 1, 1))), 2, 1)
+        model = make_model(seed=n, window=2, hidden=32, layers=layers)
+        Z = neural.encode_batch(model.encoder, ws.as_sequences())
+        # centers near latents, so that many rows have close runners-up
+        model.centers = Z[rng.integers(0, n, size=160)] + rng.normal(scale=1e-3, size=(160, Z.shape[1]))
+        model.radii = np.zeros(160)
+        expected = granular.nearest_centers(model.centers, Z)[1]
+        assert scoring.score_windows(model, ws).tobytes() == expected.tobytes()
+
+    def test_memory_stays_below_the_latent_array(self):
+        n, layers, hidden = 20000, 2, 32
+        rng = np.random.default_rng(21)
+        ws = tsdata.make_windows(tsdata.TimeSeries(values=rng.normal(size=(n + 1, 1))), 2, 1)
+        model = make_model(seed=21, window=2, hidden=hidden, layers=layers,
+                           centers=rng.normal(scale=0.1, size=(160, layers * hidden)))
+        tracemalloc.start()
+        try:
+            scoring.score_windows(model, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every latent at once would take n * L * h float64s
+        assert peak < n * layers * hidden * 8
 
     def test_model_mismatch(self):
         model = make_model(seed=8)

@@ -174,9 +174,9 @@ class TestTrain:
         calls = []
         forward = neural._forward_encoder
 
-        def counted(enc, X, keep_cache):
+        def counted(enc, X, *args, **kwargs):
             calls.append(X.shape[0])
-            return forward(enc, X, keep_cache)
+            return forward(enc, X, *args, **kwargs)
 
         monkeypatch.setattr(neural, "_forward_encoder", counted)
         trainer.train(ts, cfg)
