@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -120,21 +121,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_out_dirs(*paths: str | None) -> None:
-    """Fail before any work when an output file's directory does not exist
-    or the output path is itself a directory."""
-    for out in paths:
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Fail before any work when an output file's directory does not exist,
+    the output path is itself a directory, or it names the same file as any
+    other path the command was given, input or output: writing it would
+    destroy that file. Both dicts map a flag to its path, None if not given."""
+    given = {flag: path for flag, path in {**inputs, **outputs}.items() if path is not None}
+    for flag, out in outputs.items():
         if out is None:
             continue
         if not Path(out).parent.is_dir():
             raise MissingFile(f"no such directory for output file: {out}")
         if Path(out).is_dir():
             raise BadParams(f"output file is a directory: {out}")
+        for other, path in given.items():
+            if other != flag and _same_file(out, path):
+                raise BadParams(f"{flag} {out} is the same file as {other} {path}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _from_args(TrainConfig, args)
-    _check_out_dirs(args.model, args.out)
+    _check_outputs({"--model": args.model, "--out": args.out}, {"--train-csv": args.train_csv})
     ts = tsdata.load_csv(args.train_csv, label_column=args.label_col)
     model, reports = train(ts, cfg, verbose=not args.quiet)
     save_model(model, args.model)
@@ -166,13 +179,12 @@ def _load_validation(path: str, label_col: str | None, n_channels: int) -> tsdat
                 raise
         return _load_for_model(path, None, n_channels)
     except GbocError as exc:
-        if path not in str(exc):
-            exc.args = (f"--val-csv {path}: {exc}",)
+        exc.args = (f"--val-csv {path}: {exc}",)
         raise
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out}, {"--test-csv": args.test_csv, "--model": args.model, "--val-csv": args.val_csv})
     model = load_model(args.model)
     ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
     threshold_scores = None
@@ -214,7 +226,7 @@ def _read_report(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out}, {"--report": args.report})
     scores, flags, labels = _read_report(args.report)
     delta_set = _parse_delta_set(args.delta_set)
     sigma = args.sigma_aff if args.sigma_aff is not None else args.window / 2.0
@@ -233,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_balls(args: argparse.Namespace) -> int:
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out}, {"--model": args.model})
     model = load_model(args.model)
     header = [f"c{i}" for i in range(model.centers.shape[1])] + ["radius"]
     tsdata.write_csv(args.out, header, [*model.centers.T, model.radii])

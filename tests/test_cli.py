@@ -165,18 +165,21 @@ class TestPipeline:
         assert reports[0] == reports[1]
         assert errs[0] == errs[1] and "threshold " in errs[0]
 
+    # the name "v" is also a substring of the cell's column name v0
     @pytest.mark.parametrize(
-        "text", ["v0,label\n0.5,0\nnan,0\n", "v0,label\n0.5,0\n0.25,2\n", "", "v0,v1\n1,2\n"],
-        ids=["non_finite_cell", "bad_label", "empty", "two_channels"],
+        "text, name",
+        [("v0,label\n0.5,0\nnan,0\n", "val.csv"), ("v0,label\n0.5,0\n0.25,2\n", "val.csv"), ("", "val.csv"),
+         ("v0,v1\n1,2\n", "val.csv"), ("v0,label\n0.5,0\nnan,0\n", "v")],
+        ids=["non_finite_cell", "bad_label", "empty", "two_channels", "non_finite_cell_short_name"],
     )
-    def test_validation_load_error_names_the_file(self, small_pipeline, tmp_path, capsys, text):
-        val = tmp_path / "val.csv"
-        val.write_text(text)
+    def test_validation_load_error_names_the_file(self, small_pipeline, tmp_path, capsys, monkeypatch, text, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
         argv = ["detect", "--test-csv", str(small_pipeline["data"] / "test.csv"), "--label-col", "label",
-                "--model", str(small_pipeline["model"]), "--out", str(tmp_path / "r.csv"), "--val-csv", str(val)]
+                "--model", str(small_pipeline["model"]), "--out", str(tmp_path / "r.csv"), "--val-csv", name]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(val) in err
+        assert err.startswith(f"error: --val-csv {name}: ")
         assert not (tmp_path / "r.csv").exists()
 
     def test_every_csv_gboc_writes_loads_without_the_csv_module(self, tmp_path, monkeypatch, capsys):
@@ -454,6 +457,36 @@ class TestErrors:
         assert cli.main([command, *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "is a directory" in err and "taken" in err
+
+    # each output given the path of another file the command names, spelled
+    # differently for detect; nothing is written and the file keeps its bytes
+    @pytest.mark.parametrize("command", ["train", "detect", "eval", "dump-balls"])
+    def test_output_naming_another_given_file_rejected_before_any_work(
+        self, small_pipeline, tmp_path, capsys, monkeypatch, command
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("load_model", "_read_report", "train"):
+            monkeypatch.setattr(cli, name, not_reached)
+        model, report = tmp_path / "model.gboc", tmp_path / "report.csv"
+        model.write_bytes(small_pipeline["model"].read_bytes())
+        report.write_bytes(small_pipeline["report"].read_bytes())
+        (tmp_path / "sub").mkdir()
+        data = small_pipeline["data"]
+        argv, kept = {
+            "train": (["--train-csv", str(data / "train.csv"), "--label-col", "label", "--model", str(tmp_path / "x"),
+                       "--out", str(tmp_path / "x")], tmp_path / "x"),
+            "detect": (["--test-csv", str(data / "test.csv"), "--model", str(model),
+                        "--out", str(tmp_path / "sub" / ".." / "model.gboc")], model),
+            "eval": (["--report", str(report), "--out", str(report)], report),
+            "dump-balls": (["--model", str(model), "--out", str(model)], model),
+        }[command]
+        before = kept.read_bytes() if kept.exists() else None
+        assert cli.main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is the same file as" in err
+        assert (kept.read_bytes() if kept.exists() else None) == before
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "1e-320", "-1"])
     def test_eval_rejects_a_meaningless_sigma(self, small_pipeline, capsys, sigma):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import struct
 
@@ -95,11 +96,38 @@ class TestLayout:
             tail = 5 * 4 + 3 * 4 + 3 * 8 + 8
             assert len(model_io._dump(model)) == header + 8 * reals + tail
 
+    # SHA-256 of each file; any change to the layout or the byte order of
+    # format 2 changes these
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [(0, "9056161299d049d00291de5300a8610558fc5715f900130a172c1183417632a7"),
+         (1, "13e1e9925d39d9e2f622cf27ffeb76d97318b941674ea44401297a92aa419069"),
+         (2, "490436f99f1c0977e6419923701d8708bb734b140970ea93c14d5f757b2436c7"),
+         (3, "c190758ae5bcfd0b2528dce207061f36d7feca83336931324df9400ba499f271")],
+    )
+    def test_bytes_are_pinned(self, seed, digest):
+        assert hashlib.sha256(model_io._dump(random_model(seed))).hexdigest() == digest
+
     def test_version_1_rejected_with_retrain_hint(self):
         blob = model_io._dump(random_model(9))
         assert blob[4:8] == struct.pack("<I", 2)
         with pytest.raises(VersionUnsupported, match="retrain"):
             model_io._parse(blob[:4] + struct.pack("<I", 1) + blob[8:])
+
+
+class TestWriteGuards:
+    def test_flag_other_than_0_or_1_is_not_written(self):
+        model = random_model(7)
+        model.config = dataclasses.replace(model.config, gbc_off=2)
+        with pytest.raises(InvariantViolation, match="flag"):
+            model_io._dump(model)
+
+    def test_dimension_too_large_for_its_u32_is_not_written(self, tmp_path):
+        model = random_model(7)
+        model.encoder = dataclasses.replace(model.encoder, input_size=2**32)
+        with pytest.raises(InvariantViolation):
+            model_io.save_model(model, tmp_path / "m.gboc")
+        assert not (tmp_path / "m.gboc").exists()
 
 
 class TestRejection:
