@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics, scoring, tsdata
 from .errors import BadParams, GbocError, MissingFile, ModelMismatch, ParseError
 from .model_io import load_model, save_model
-from .trainer import TrainConfig, train
+from .trainer import EpochReport, TrainConfig, train
 
 
 def _parse_delta_set(text: str) -> tuple[int, ...]:
@@ -152,7 +152,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, reports = train(ts, cfg, verbose=not args.quiet)
     save_model(model, args.model)
     if args.out:
-        header = ["epoch", "mean_lrec", "mean_lgb", "mean_loss", "balls_before", "balls_after"]
+        header = [f.name for f in dataclasses.fields(EpochReport)]
         columns = [np.array([getattr(r, name) for r in reports]) for name in header]
         tsdata.write_csv(args.out, header, columns)
     print(f"model written to {args.model} ({model.centers.shape[0]} centers)", file=sys.stderr)

@@ -42,10 +42,6 @@ class ShapeMismatch(GbocError):
     pass
 
 
-class NonFiniteGradient(GbocError):
-    pass
-
-
 class EmptyBall(GbocError):
     pass
 

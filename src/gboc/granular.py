@@ -231,9 +231,8 @@ def try_split(
     _, assign = kmeans(pts, 2, rng)
     left = ball.member_indices[assign == 0]
     right = ball.member_indices[assign == 1]
-    if left.size == 0 or right.size == 0:
-        return None
-    if left.size < min_child or right.size < min_child:
+    # at least 1 even when a caller passes s_min <= 0: no child may be empty
+    if min(left.size, right.size) < max(min_child, 1):
         return None
     child1 = GranularBall.from_members(latents, left)
     child2 = GranularBall.from_members(latents, right)
@@ -271,12 +270,9 @@ def kmeans_balls(latents: np.ndarray, seed: int) -> tuple[list[GranularBall], np
     rng = np.random.default_rng([seed, 0x6B])
     k = max(1, math.isqrt(latents.shape[0]))
     _, assign = kmeans(latents, k, rng)
-    balls = [
-        GranularBall.from_members(latents, np.where(assign == c)[0])
-        for c in range(k)
-        if np.any(assign == c)
-    ]
-    return balls, rng
+    order = np.argsort(assign, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
+    return [GranularBall.from_members(latents, m) for m in members if m.size], rng
 
 
 def generate(latents: np.ndarray, s_min: int, seed: int) -> GbSet:

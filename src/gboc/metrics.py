@@ -58,8 +58,6 @@ def _tolerant_mask(labels: np.ndarray, delta: int) -> np.ndarray:
     Counts anomalies in [t - delta, t + delta] from one prefix count. Every
     delta of T - 1 or more marks the same steps, so a larger one is clamped
     to T."""
-    if delta == 0:
-        return labels.astype(bool)
     T = labels.size
     delta = min(int(delta), T)
     before = np.concatenate([[0], np.cumsum(labels.astype(bool))])  # anomalies in [0, i)

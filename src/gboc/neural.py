@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import granular
-from .errors import NonFiniteGradient, ShapeMismatch
+from .errors import BadParams, NonFiniteLoss, ShapeMismatch
 
 
 # encode_batch's block size: a block of ENCODE_BLOCK to 2 * ENCODE_BLOCK - 1
@@ -343,7 +343,7 @@ def backward(
     flatten_params, each tensor's gradient written into its view of it.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ShapeMismatch(f"lambda must be in [0, 1], got {lam}")
+        raise BadParams(f"lambda must be in [0, 1], got {lam}")
     X = np.asarray(windows, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
     B = X.shape[0]
@@ -380,7 +380,7 @@ def backward(
     _backward_encoder(enc, cache, dz, views[:-4])
 
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-        raise NonFiniteGradient("non-finite loss or gradient; aborting epoch")
+        raise NonFiniteLoss("non-finite loss or gradient; aborting epoch")
     return grad, loss, l_rec, l_gb
 
 

@@ -61,14 +61,14 @@ def windows_to_points(window_scores: np.ndarray, starts: np.ndarray, w: int, T: 
     covered = count > 0
     out = np.zeros(T)
     out[covered] = total[covered] / count[covered]
-    if not covered.all():
-        cov_idx = np.flatnonzero(covered)
-        gaps = np.flatnonzero(~covered)
-        right = np.searchsorted(cov_idx, gaps)
-        left = np.maximum(right - 1, 0)
-        right = np.minimum(right, cov_idx.size - 1)
-        take_left = np.abs(gaps - cov_idx[left]) <= np.abs(cov_idx[right] - gaps)
-        out[gaps] = out[np.where(take_left, cov_idx[left], cov_idx[right])]
+    # with no gap, gaps and every array indexed by it are empty
+    cov_idx = np.flatnonzero(covered)
+    gaps = np.flatnonzero(~covered)
+    right = np.searchsorted(cov_idx, gaps)
+    left = np.maximum(right - 1, 0)
+    right = np.minimum(right, cov_idx.size - 1)
+    take_left = np.abs(gaps - cov_idx[left]) <= np.abs(cov_idx[right] - gaps)
+    out[gaps] = out[np.where(take_left, cov_idx[left], cov_idx[right])]
     return out
 
 

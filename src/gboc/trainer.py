@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import granular, neural, tsdata
-from .errors import BadParams, NonFiniteGradient, NonFiniteLoss
+from .errors import BadParams, NonFiniteLoss
 
 
 @dataclass(frozen=True)
@@ -91,30 +91,29 @@ def _ball_seed(seed: int, epoch: int) -> int:
 
 def _build_balls(
     enc: neural.EncoderParams, X: np.ndarray, cfg: TrainConfig, epoch: int, verbose: bool
-) -> tuple[granular.GbSet, granular.GbSet, int, int]:
+) -> tuple[granular.GbSet, granular.GbSet, int]:
     """Encode every training window and rebuild the balls over the latents;
-    returns (training_set, shipped_set, count_before, count_after). With
-    verbose, a prune that keeps only the tightest ball says so on stderr."""
+    returns (training_set, shipped_set, count_before_pruning). With verbose,
+    a prune that keeps only the tightest ball says so on stderr."""
     latents = neural.encode_batch(enc, X)
     if not np.all(np.isfinite(latents)):
         raise NonFiniteLoss(f"non-finite latents at the epoch-{epoch} ball build; training diverged")
+    seed = _ball_seed(cfg.seed, epoch)
     if cfg.gbc_off:
         # ablation: plain k-means clusters stand in for granular-balls
-        balls, _ = granular.kmeans_balls(latents, _ball_seed(cfg.seed, epoch))
-        gset = granular.GbSet(balls=balls)
-        return gset, gset, len(balls), len(balls)
-    unpruned = granular.generate(latents, s_min=cfg.s_min, seed=_ball_seed(cfg.seed, epoch))
-    before = len(unpruned.balls)
-    if cfg.prune_off:
-        return unpruned, unpruned, before, before
-    pruned = granular.prune(unpruned, cfg.mu)
-    if pruned.kept_tightest and verbose:
+        unpruned = shipped = granular.GbSet(balls=granular.kmeans_balls(latents, seed)[0])
+    else:
+        unpruned = granular.generate(latents, s_min=cfg.s_min, seed=seed)
+        shipped = unpruned if cfg.prune_off else granular.prune(unpruned, cfg.mu)
+    if shipped.kept_tightest and verbose:
         build = "final ball build" if epoch > cfg.epochs else f"epoch {epoch} ball build"
         print(f"warning: {build}: --mu {cfg.mu} would prune every ball; kept the tightest one", file=sys.stderr)
-    training = unpruned if cfg.assign_unpruned else pruned
-    return training, pruned, before, len(pruned.balls)
+    return (unpruned if cfg.assign_unpruned else shipped), shipped, len(unpruned.balls)
 
 
+# a finiteness check catches every divergence (each batch's loss and gradient,
+# each ball build's latents), so NumPy's own warnings would only precede it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_ts: tsdata.TimeSeries, cfg: TrainConfig, verbose: bool = False
 ) -> tuple[GbocModel, list[EpochReport]]:
@@ -138,7 +137,7 @@ def train(
     reports: list[EpochReport] = []
     for epoch in range(1, cfg.epochs + 1):
         if (epoch - 1) % cfg.rebuild_every == 0:
-            training_set, _, before, after = _build_balls(enc, X, cfg, epoch, verbose)
+            training_set, shipped, before = _build_balls(enc, X, cfg, epoch, verbose)
             centers = training_set.centers
 
         order = np.random.default_rng([cfg.seed, 2, epoch]).permutation(n)
@@ -147,7 +146,7 @@ def train(
             idx = order[start : start + cfg.batch_size]
             try:
                 grad, loss, l_rec, l_gb = neural.backward(enc, dec, X[idx], targets[idx], centers, None, cfg.lam)
-            except NonFiniteGradient as exc:
+            except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"epoch {epoch}: {exc}") from exc
             neural.opt_step(opt, params, grad)
             sum_rec += l_rec * idx.size
@@ -159,18 +158,18 @@ def train(
             mean_lgb=sum_gb / n,
             mean_loss=sum_loss / n,
             balls_before=before,
-            balls_after=after,
+            balls_after=len(shipped.balls),
         )
         reports.append(report)
         if verbose:
             print(
                 f"epoch {epoch:3d}  loss {report.mean_loss:.6f}  "
                 f"rec {report.mean_lrec:.6f}  gb {report.mean_lgb:.6f}  "
-                f"balls {before}->{after}",
+                f"balls {before}->{report.balls_after}",
                 file=sys.stderr,
             )
 
-    _, shipped, _, _ = _build_balls(enc, X, cfg, cfg.epochs + 1, verbose)
+    shipped = _build_balls(enc, X, cfg, cfg.epochs + 1, verbose)[1]
     # enc's tensors are views into params, which holds the decoder too; the
     # model keeps copies that own their data
     model = GbocModel(copy.deepcopy(enc), stats, shipped.centers, shipped.radii, cfg)

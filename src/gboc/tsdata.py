@@ -17,6 +17,7 @@ from .errors import (
     BadParams,
     DegenerateSeries,
     MissingFile,
+    ModelMismatch,
     NonBinaryLabel,
     ParseError,
     WindowTooLong,
@@ -258,8 +259,11 @@ def fit_normalizer(train: TimeSeries) -> NormStats:
     """Per-channel mean and sample (n-1) std of the training split."""
     if train.T < 2:
         raise DegenerateSeries(f"need at least 2 timesteps to fit a normalizer, got T={train.T}")
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.values.mean(axis=0)
+        std = train.values.std(axis=0, ddof=1)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise DegenerateSeries("the training series' mean or std overflows float64; rescale it")
     std = np.maximum(std, EPS_STD)
     return NormStats(mean=mean, std=std)
 
@@ -267,7 +271,10 @@ def fit_normalizer(train: TimeSeries) -> NormStats:
 def apply_normalizer(ts: TimeSeries, stats: NormStats) -> TimeSeries:
     if stats.mean.shape != (ts.d,) or stats.std.shape != (ts.d,):
         raise BadParams(f"normalizer is for d={stats.mean.shape[0]} channels, series has d={ts.d}")
-    values = (ts.values - stats.mean) / stats.std
+    with np.errstate(over="ignore"):
+        values = (ts.values - stats.mean) / stats.std
+    if not np.all(np.isfinite(values)):
+        raise ModelMismatch("the series lies far outside the training range: normalizing it overflows float64")
     return TimeSeries(values=values, labels=ts.labels, channel_names=list(ts.channel_names))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,26 @@ def test_prune_fallback_is_one_stderr_line_per_build_unless_quiet(tmp_path, caps
     assert not any("Warning" in line for line in loud)
     assert len(quiet) == 1 and quiet[0].startswith("model written to")
     assert (tmp_path / "loud.gboc").read_bytes() == (tmp_path / "quiet.gboc").read_bytes()
+
+
+def _overflowing_csv(directory) -> str:
+    """A one-channel series of finite values whose mean and normalization
+    overflow float64."""
+    path = directory / "huge.csv"
+    path.write_text("v0\n" + "1.7e308\n-1.7e308\n" * 150)
+    return str(path)
+
+
+def _one_error_line(argv: list[str], capsys) -> str:
+    """The stderr of a CLI run with every warning an error, which must exit 1
+    with one line that starts with 'error:'."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 class TestErrors:
@@ -503,6 +524,24 @@ class TestErrors:
                 "--model", str(tmp_path / "m.gboc")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_diverging_train_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["synth", "--kind", "noise", "--length", "200", "--seed", "3", "--out", str(tmp_path)]) == 0
+        argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
+                "--model", str(tmp_path / "m.gboc"), "--epochs", "2", "--quiet", "--lr", "1e300"]
+        assert _one_error_line(argv, capsys) == "error: epoch 1: non-finite loss or gradient; aborting epoch"
+        assert not (tmp_path / "m.gboc").exists()
+
+    def test_train_on_a_series_whose_mean_overflows_is_one_error_line(self, tmp_path, capsys):
+        argv = ["train", "--train-csv", _overflowing_csv(tmp_path), "--model", str(tmp_path / "m.gboc"),
+                "--epochs", "1", "--quiet"]
+        assert "overflows float64" in _one_error_line(argv, capsys)
+        assert not (tmp_path / "m.gboc").exists()
+
+    def test_detect_far_outside_the_training_range_is_one_error_line(self, small_pipeline, tmp_path, capsys):
+        argv = ["detect", "--test-csv", _overflowing_csv(tmp_path), "--model", str(small_pipeline["model"]),
+                "--out", str(tmp_path / "r.csv")]
+        assert "far outside the training range" in _one_error_line(argv, capsys)
 
 
 # flag -> (options field, a value other than the field's default); a flag

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gboc import granular, neural
-from gboc.errors import ShapeMismatch
+from gboc.errors import BadParams, ShapeMismatch
 from oracles import (
     DictAdam,
     decode_batch,
@@ -239,6 +239,12 @@ class TestBackward:
         far = centers + 100.0
         grads_far, _, _, _ = neural.backward(enc, dec, X, Y, far, assignment, 1.0)
         assert np.array_equal(grads_full, grads_far)
+
+    @pytest.mark.parametrize("lam", [-0.5, 1.5])
+    def test_lambda_outside_unit_interval_is_bad_params(self, lam):
+        enc, dec, X, Y, centers, assignment = random_small_net(104)
+        with pytest.raises(BadParams, match="lambda"):
+            neural.backward(enc, dec, X, Y, centers, assignment, lam)
 
     def test_lambda_zero_decoder_grads_vanish(self):
         enc, dec, X, Y, centers, assignment = random_small_net(102)

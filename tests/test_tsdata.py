@@ -11,6 +11,7 @@ from gboc.errors import (
     BadParams,
     DegenerateSeries,
     MissingFile,
+    ModelMismatch,
     NonBinaryLabel,
     ParseError,
     WindowTooLong,
@@ -273,6 +274,16 @@ class TestNormalizer:
         ts = tsdata.TimeSeries(values=np.array([[1.0]]))
         with pytest.raises(DegenerateSeries):
             tsdata.fit_normalizer(ts)
+
+    def test_overflow_is_its_own_error_not_a_parse_error(self):
+        # every value is finite; the mean's sum, and the values normalized by
+        # a training std below 1, overflow float64
+        huge = tsdata.TimeSeries(values=np.tile([1.7e308, -1.7e308], 150))
+        with pytest.raises(DegenerateSeries, match="overflows float64"):
+            tsdata.fit_normalizer(huge)
+        stats = tsdata.fit_normalizer(tsdata.TimeSeries(values=np.array([0.0, 0.1])))
+        with pytest.raises(ModelMismatch, match="far outside the training range"):
+            tsdata.apply_normalizer(huge, stats)
 
     @given(st.integers(2, 40), st.integers(1, 3), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
