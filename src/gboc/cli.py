@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics, scoring, tsdata
 from .errors import BadParams, GbocError, MissingFile, ModelMismatch, ParseError
 from .model_io import load_model, save_model
-from .trainer import EpochReport, TrainConfig, train
+from .trainer import EpochReport, GbocModel, TrainConfig, train
 
 
 def _parse_delta_set(text: str) -> tuple[int, ...]:
@@ -167,17 +167,19 @@ def _load_for_model(path: str, label_col: str | None, n_channels: int) -> tsdata
     return ts
 
 
-def _load_validation(path: str, label_col: str | None, n_channels: int) -> tsdata.TimeSeries:
-    """The --val-csv series. Its labels go unread, so --label-col names a
-    column to drop only when the file's header has it. A load error names
-    the file."""
+def _validation_scores(path: str, label_col: str | None, model: GbocModel) -> np.ndarray:
+    """Point scores of the --val-csv series. Its labels go unread, so
+    --label-col names a column to drop only when the file's header has it.
+    Any error in reading or scoring the series names the file."""
+    n_channels = model.encoder.input_size
     try:
         try:
-            return _load_for_model(path, label_col, n_channels)
+            val_ts = _load_for_model(path, label_col, n_channels)
         except ParseError as exc:
             if label_col is None or (exc.row, exc.col) != (0, label_col):
                 raise
-        return _load_for_model(path, None, n_channels)
+            val_ts = _load_for_model(path, None, n_channels)
+        return scoring.detect(model, val_ts).point_scores
     except GbocError as exc:
         exc.args = (f"--val-csv {path}: {exc}",)
         raise
@@ -187,10 +189,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     _check_outputs({"--out": args.out}, {"--test-csv": args.test_csv, "--model": args.model, "--val-csv": args.val_csv})
     model = load_model(args.model)
     ts = _load_for_model(args.test_csv, args.label_col, model.encoder.input_size)
-    threshold_scores = None
-    if args.val_csv is not None:
-        val_ts = _load_validation(args.val_csv, args.label_col, model.encoder.input_size)
-        threshold_scores = scoring.detect(model, val_ts).point_scores
+    threshold_scores = None if args.val_csv is None else _validation_scores(args.val_csv, args.label_col, model)
     report = scoring.detect(model, ts, threshold_scores=threshold_scores)
     columns = {"t": np.arange(ts.T), "point_score": report.point_scores}
     if args.scores_only:

@@ -18,41 +18,41 @@ class AnomalyReport:
     flags: np.ndarray  # (T,) 0/1
 
 
-def score_windows(model: GbocModel, ws: tsdata.WindowSet) -> np.ndarray:
-    """Distance from each window's latent to the nearest retained center.
+def score_windows(model: GbocModel, windows: np.ndarray) -> np.ndarray:
+    """Distance from each (w, d) window's latent to the nearest retained center.
 
     Each block of encode_blocks goes straight to the nearest-center search,
     and only its distances are kept: no latent array of the whole series is
     built. A row's nearest center and distance do not depend on the block
     it is searched in, so the scores equal those of one search over every
     latent, bit for bit."""
-    if ws.window_len != model.config.window or ws.n_channels != model.encoder.input_size:
+    if windows.shape[1:] != (model.config.window, model.encoder.input_size):
         raise ModelMismatch(
-            f"windows are ({ws.window_len} x {ws.n_channels}), model expects "
+            f"windows are ({windows.shape[1]} x {windows.shape[2]}), model expects "
             f"({model.config.window} x {model.encoder.input_size})"
         )
-    dists = np.empty(ws.n_windows)
-    for rows, z in neural.encode_blocks(model.encoder, ws.as_sequences()):
+    dists = np.empty(len(windows))
+    for rows, z in neural.encode_blocks(model.encoder, windows):
         dists[rows] = granular.nearest_centers(model.centers, z)[1]
     return dists
 
 
-def windows_to_points(window_scores: np.ndarray, starts: np.ndarray, w: int, T: int) -> np.ndarray:
+def windows_to_points(window_scores: np.ndarray, stride: int, w: int, T: int) -> np.ndarray:
     """Per-timestep score: mean over all windows covering the timestep;
     uncovered timesteps inherit the nearest covered timestep's score (ties ->
     the earlier one).
 
-    Starts must be strictly increasing and each window must fit in [0, T).
+    Window k starts at k * stride, and the last one must end inside [0, T).
     Each timestep sums its windows in start order, one offset j at a time
     from w-1 down to 0, so the sums are those of a per-window loop."""
     window_scores = np.asarray(window_scores, dtype=np.float64)
-    starts = np.asarray(starts, dtype=np.int64)
-    if window_scores.shape != starts.shape or starts.ndim != 1:
-        raise BadParams("window_scores and starts must be 1-D with the same length")
-    if w < 1 or starts.size == 0:
-        raise BadParams("need a positive window length and at least one window")
-    if starts[0] < 0 or starts[-1] + w > T or np.any(np.diff(starts) <= 0):
-        raise BadParams(f"window starts must increase strictly and windows of length {w} must fit in {T} steps")
+    if window_scores.ndim != 1 or window_scores.size == 0:
+        raise BadParams("window_scores must be 1-D with at least one window")
+    if w < 1 or stride < 1:
+        raise BadParams("window length and stride must be positive")
+    starts = np.arange(window_scores.size, dtype=np.int64) * stride
+    if starts[-1] + w > T:
+        raise BadParams(f"{starts.size} windows of length {w} at stride {stride} do not fit in {T} steps")
     total = np.zeros(T)
     count = np.zeros(T)
     for j in range(w - 1, -1, -1):
@@ -91,10 +91,10 @@ def detect(
     threshold_scores (e.g. point scores of a separate normal validation
     series) are supplied.
     """
-    norm_ts = tsdata.apply_normalizer(test_ts, model.norm)
-    ws = tsdata.make_windows(norm_ts, model.config.window, model.config.stride)
-    wscores = score_windows(model, ws)
-    pscores = windows_to_points(wscores, ws.starts, model.config.window, test_ts.T)
+    values = tsdata.apply_normalizer(test_ts, model.norm)
+    windows = tsdata.make_windows(values, model.config.window, model.config.stride)
+    wscores = score_windows(model, windows)
+    pscores = windows_to_points(wscores, model.config.stride, model.config.window, test_ts.T)
     fit_on = pscores if threshold_scores is None else np.asarray(threshold_scores, dtype=np.float64)
     threshold = threshold_3sigma(fit_on)
     flags = (pscores > threshold).astype(np.int64)

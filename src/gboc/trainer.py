@@ -121,11 +121,9 @@ def train(
     if train_ts.T < cfg.window:
         raise BadParams(f"series length {train_ts.T} is shorter than the window {cfg.window}")
     stats = tsdata.fit_normalizer(train_ts)
-    norm_ts = tsdata.apply_normalizer(train_ts, stats)
-    ws = tsdata.make_windows(norm_ts, cfg.window, cfg.stride)
-    X = ws.as_sequences()
-    targets = ws.windows
-    n = ws.n_windows
+    X = tsdata.make_windows(tsdata.apply_normalizer(train_ts, stats), cfg.window, cfg.stride)
+    targets = X.reshape(len(X), -1)
+    n = len(X)
 
     init_rng = np.random.default_rng([cfg.seed, 1])
     enc = neural.init_encoder(train_ts.d, cfg.hidden, cfg.layers, init_rng)

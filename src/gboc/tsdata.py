@@ -66,24 +66,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class WindowSet:
-    """Overlapping length-w windows, flattened timestep-major, tracked to their source starts."""
-
-    windows: np.ndarray  # (N_w, w*d)
-    starts: np.ndarray  # (N_w,)
-    window_len: int
-    n_channels: int
-
-    @property
-    def n_windows(self) -> int:
-        return self.windows.shape[0]
-
-    def as_sequences(self) -> np.ndarray:
-        """View windows as (N_w, w, d) for the recurrent encoder."""
-        return self.windows.reshape(self.n_windows, self.window_len, self.n_channels)
-
-
-@dataclass(frozen=True)
 class NormStats:
     """Per-channel mean/std fitted on the training split; std clamped to EPS_STD."""
 
@@ -94,10 +76,10 @@ class NormStats:
 def load_csv(path: str | Path, label_column: str | None = None) -> TimeSeries:
     """Read a comma-separated file with a mandatory header into a TimeSeries.
 
-    All non-label columns must parse as finite reals; the label column, when
-    named, must contain only 0/1. A bad cell, or the first cell missing from
-    a short row, is named as ``row R, column 'C'`` with data rows counted
-    from 1.
+    The header names each column once. All non-label columns must parse as
+    finite reals; the label column, when named, must contain only 0/1. A bad
+    cell, or the first cell missing from a short row, is named as
+    ``row R, column 'C'`` with data rows counted from 1.
 
     np.loadtxt parses a plain file (see _parse_plain). Any other file, and a
     plain one that np.loadtxt does not read as a valid series, goes through
@@ -182,7 +164,17 @@ def _parse_with_csv_module(
 
 
 def _column_indices(header: list[str], label_column: str | None) -> tuple[list[int], int | None]:
-    """Indices of the feature columns and of the label column, if named."""
+    """Indices of the feature columns and of the label column, if named.
+
+    A header that names a column twice, blank names included, is rejected:
+    the labels or a channel would be read from whichever copy came first.
+    The error's col stays None, since row 0 with a col names a missing
+    column."""
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise ParseError(f"header names column {name!r} more than once", row=0)
+        seen.add(name)
     label_idx: int | None = None
     if label_column is not None:
         if label_column not in header:
@@ -268,27 +260,27 @@ def fit_normalizer(train: TimeSeries) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def apply_normalizer(ts: TimeSeries, stats: NormStats) -> TimeSeries:
+def apply_normalizer(ts: TimeSeries, stats: NormStats) -> np.ndarray:
+    """The series' values z-scored by the training stats, as a (T, d) float64 array."""
     if stats.mean.shape != (ts.d,) or stats.std.shape != (ts.d,):
         raise BadParams(f"normalizer is for d={stats.mean.shape[0]} channels, series has d={ts.d}")
     with np.errstate(over="ignore"):
         values = (ts.values - stats.mean) / stats.std
     if not np.all(np.isfinite(values)):
         raise ModelMismatch("the series lies far outside the training range: normalizing it overflows float64")
-    return TimeSeries(values=values, labels=ts.labels, channel_names=list(ts.channel_names))
+    return values
 
 
-def make_windows(ts: TimeSeries, w: int, stride: int) -> WindowSet:
-    """Cut overlapping length-w windows at the given stride, flattened timestep-major."""
+def make_windows(values: np.ndarray, w: int, stride: int) -> np.ndarray:
+    """The (N, w, d) windows of a (T, d) array; window k starts at k * stride.
+
+    The result is one fresh C-contiguous copy: a reshape of the sliding view
+    would alias the input."""
     if w < 1 or stride < 1:
         raise BadParams("window length and stride must be positive")
-    if w > ts.T:
-        raise WindowTooLong(f"window length {w} exceeds series length {ts.T}")
-    n = (ts.T - w) // stride + 1
-    starts = np.arange(n, dtype=np.int64) * stride
-    view = np.lib.stride_tricks.sliding_window_view(ts.values, (w, ts.d))[::stride, 0]
-    windows = np.array(view.reshape(n, w * ts.d), dtype=np.float64)
-    return WindowSet(windows=windows, starts=starts, window_len=w, n_channels=ts.d)
+    if w > len(values):
+        raise WindowTooLong(f"window length {w} exceeds series length {len(values)}")
+    return np.array(np.lib.stride_tricks.sliding_window_view(values, (w, values.shape[1]))[::stride, 0])
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,9 @@ def row_walk_load_csv(path, label_column: str | None = None) -> tsdata.TimeSerie
     if not records:
         raise ParseError("file is empty (no header row)")
     header = [h.strip() for h in records[0]]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ParseError(f"header names column {name!r} more than once", row=0)
     label_idx = None
     if label_column is not None:
         if label_column not in header:

@@ -170,8 +170,10 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "text, name",
         [("v0,label\n0.5,0\nnan,0\n", "val.csv"), ("v0,label\n0.5,0\n0.25,2\n", "val.csv"), ("", "val.csv"),
-         ("v0,v1\n1,2\n", "val.csv"), ("v0,label\n0.5,0\nnan,0\n", "v")],
-        ids=["non_finite_cell", "bad_label", "empty", "two_channels", "non_finite_cell_short_name"],
+         ("v0,v1\n1,2\n", "val.csv"), ("v0,label\n0.5,0\nnan,0\n", "v"), ("v0\n1\n", "val.csv"),
+         ("v0\n" + "1.7e308\n-1.7e308\n" * 150, "val.csv")],
+        ids=["non_finite_cell", "bad_label", "empty", "two_channels", "non_finite_cell_short_name", "too_short",
+             "overflow"],
     )
     def test_validation_load_error_names_the_file(self, small_pipeline, tmp_path, capsys, monkeypatch, text, name):
         monkeypatch.chdir(tmp_path)
@@ -356,6 +358,20 @@ class TestErrors:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_header_naming_a_column_twice_is_one_error_line(self, tmp_path, capsys):
+        # train would take a repeated label column's second copy as a feature,
+        # and eval a report's second label column as a missing one
+        dup = tmp_path / "dup.csv"
+        dup.write_text("label,v0,label\n0,1.0,1\n0,2.0,0\n0,1.5,0\n0,0.5,1\n")
+        report = tmp_path / "report.csv"
+        report.write_text("t,point_score,flag,label,label\n0,0.5,0,1,1\n1,0.2,0,0,0\n")
+        model = tmp_path / "dup.gboc"
+        train = ["train", "--train-csv", str(dup), "--label-col", "label", "--model", str(model), "--epochs", "1",
+                 "--quiet"]
+        for argv in (train, ["eval", "--report", str(report)]):
+            assert "column 'label' more than once" in _one_error_line(argv, capsys)
+        assert not model.exists()
 
     def test_detect_undeclared_label_column_is_named(self, small_pipeline, tmp_path, capsys):
         rc = cli.main(

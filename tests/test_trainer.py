@@ -141,8 +141,8 @@ class TestTrain:
         ts = tiny_series()
         cfg = tiny_config(gbc_off=True)
         model, reports = trainer.train(ts, cfg)
-        n_windows = (ts.T - cfg.window) // cfg.stride + 1
-        expected = max(1, int(np.sqrt(n_windows)))
+        n = (ts.T - cfg.window) // cfg.stride + 1
+        expected = max(1, int(np.sqrt(n)))
         assert all(r.balls_before == r.balls_after for r in reports)
         assert model.centers.shape[0] <= expected
         assert model.centers.shape[0] >= 1

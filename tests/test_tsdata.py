@@ -91,6 +91,17 @@ class TestLoadCsv:
             tsdata.load_csv(p)
         assert exc.value.row == 2 and exc.value.col == "v"
 
+    @pytest.mark.parametrize(
+        "header, name", [("label,v0,label", "label"), ('v0,"label",v0', "v0"), ("a,,label,", "")]
+    )
+    @pytest.mark.parametrize("label", [None, "label"])
+    def test_header_naming_a_column_twice_rejected(self, tmp_path, header, name, label):
+        # either copy could hold the labels or a channel
+        p = write(tmp_path / "a.csv", header + "\n" + ",".join("0" * (header.count(",") + 1)) + "\n")
+        with pytest.raises(ParseError, match=f"column {name!r} more than once") as exc:
+            tsdata.load_csv(p, label_column=label)
+        assert exc.value.row == 0
+
     def test_missing_label_column(self, tmp_path):
         p = write(tmp_path / "a.csv", "v\n1.0\n")
         with pytest.raises(ParseError):
@@ -207,6 +218,11 @@ RAW_FILES = {
     "invalid_utf8_past_the_first_chunk": (b"a\n" + b"1\n" * 6000 + b"\xff\n", None),
     "field_at_the_limit": (b"a\n" + b"0" * (LIMIT - 1) + b"1\n", None),
     "field_over_the_limit": (b"a\n" + b"0" * LIMIT + b"1\n", None),
+    "repeated_label_column": (b"label,v0,label\n0,1.0,1\n0,2.0,0\n", "label"),
+    "repeated_label_column_quoted_header": (b'"label",v0,label\n0,1.0,1\n', "label"),
+    "repeated_feature_column": (b"a,b,a\n1,2,3\n", None),
+    "repeated_feature_column_quoted_header": (b'a,"b",b\n1,2,3\n', None),
+    "repeated_blank_name": (b"a,,\n1,2,3\n", None),
 }
 
 # raw text pieces: cells, and separators and characters the csv module and
@@ -253,14 +269,14 @@ class TestNormalizer:
         stats = tsdata.fit_normalizer(ts)
         out = tsdata.apply_normalizer(ts, stats)
         assert stats.mean[0] == 2.0
-        assert out.values[0, 0] == pytest.approx(-out.values[1, 0])
+        assert out[0, 0] == pytest.approx(-out[1, 0])
 
     def test_constant_channel_clamped(self):
         ts = tsdata.TimeSeries(values=np.array([[5.0], [5.0], [5.0]]))
         stats = tsdata.fit_normalizer(ts)
         assert stats.std[0] == tsdata.EPS_STD
         out = tsdata.apply_normalizer(ts, stats)
-        assert np.all(np.isfinite(out.values))
+        assert np.all(np.isfinite(out))
 
     def test_sample_std_hand_case(self):
         # sample (n-1) std of [0, 10, 20] is 10, so normalized is [-1, 0, 1]
@@ -268,7 +284,7 @@ class TestNormalizer:
         stats = tsdata.fit_normalizer(ts)
         assert stats.mean[0] == 10.0 and stats.std[0] == pytest.approx(10.0)
         out = tsdata.apply_normalizer(ts, stats)
-        assert np.allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
+        assert np.allclose(out[:, 0], [-1.0, 0.0, 1.0])
 
     def test_degenerate_series(self):
         ts = tsdata.TimeSeries(values=np.array([[1.0]]))
@@ -291,7 +307,7 @@ class TestNormalizer:
         rng = np.random.default_rng(seed)
         ts = tsdata.TimeSeries(values=rng.normal(3.0, 2.0, size=(T, d)))
         normed = tsdata.apply_normalizer(ts, tsdata.fit_normalizer(ts))
-        stats2 = tsdata.fit_normalizer(normed)
+        stats2 = tsdata.fit_normalizer(tsdata.TimeSeries(values=normed))
         keep = tsdata.fit_normalizer(ts).std > tsdata.EPS_STD
         assert np.all(np.abs(stats2.mean[keep]) < 1e-9)
         assert np.all(np.abs(stats2.std[keep] - 1.0) < 1e-6)
@@ -299,53 +315,58 @@ class TestNormalizer:
 
 class TestMakeWindows:
     def test_count_stride_one(self):
-        ts = tsdata.TimeSeries(values=np.arange(10.0).reshape(-1, 1))
-        ws = tsdata.make_windows(ts, 5, 1)
-        assert ws.n_windows == 6
-        assert ws.starts.tolist() == [0, 1, 2, 3, 4, 5]
+        values = np.arange(10.0).reshape(-1, 1)
+        windows = tsdata.make_windows(values, 5, 1)
+        assert len(windows) == 6
+        assert windows[:, 0, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_boundary_single_window(self):
-        ts = tsdata.TimeSeries(values=np.arange(5.0).reshape(-1, 1))
-        assert tsdata.make_windows(ts, 5, 1).n_windows == 1
+        assert len(tsdata.make_windows(np.arange(5.0).reshape(-1, 1), 5, 1)) == 1
 
     def test_stride_three_hand_case(self):
-        ts = tsdata.TimeSeries(values=np.arange(10.0).reshape(-1, 1))
-        ws = tsdata.make_windows(ts, 4, 3)
-        assert ws.n_windows == 3
-        assert ws.starts.tolist() == [0, 3, 6]
-        assert np.array_equal(ws.windows[1], np.arange(3.0, 7.0))
+        windows = tsdata.make_windows(np.arange(10.0).reshape(-1, 1), 4, 3)
+        assert len(windows) == 3
+        assert windows[:, 0, 0].tolist() == [0, 3, 6]
+        assert np.array_equal(windows[1, :, 0], np.arange(3.0, 7.0))
 
     def test_window_too_long(self):
-        ts = tsdata.TimeSeries(values=np.arange(4.0).reshape(-1, 1))
         with pytest.raises(WindowTooLong):
-            tsdata.make_windows(ts, 5, 1)
+            tsdata.make_windows(np.arange(4.0).reshape(-1, 1), 5, 1)
 
     def test_flattening_is_timestep_major(self):
-        ts = tsdata.TimeSeries(values=np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
-        ws = tsdata.make_windows(ts, 2, 1)
-        assert ws.windows[0].tolist() == [1.0, 10.0, 2.0, 20.0]
+        windows = tsdata.make_windows(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]), 2, 1)
+        assert windows[0].reshape(-1).tolist() == [1.0, 10.0, 2.0, 20.0]
 
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_tiling_reconstructs_prefix(self, w, d, seed):
         rng = np.random.default_rng(seed)
         T = w * rng.integers(1, 5) + int(rng.integers(0, w))
-        ts = tsdata.TimeSeries(values=rng.normal(size=(T, d)))
-        ws = tsdata.make_windows(ts, w, stride=w)
-        tiled = ws.windows.reshape(-1, d)
-        assert np.array_equal(tiled, ts.values[: ws.n_windows * w])
+        values = rng.normal(size=(T, d))
+        windows = tsdata.make_windows(values, w, stride=w)
+        tiled = windows.reshape(-1, d)
+        assert np.array_equal(tiled, values[: len(windows) * w])
 
 
     @given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 3), st.integers(0, 20), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_equals_per_window_copies(self, w, stride, d, extra, seed):
-        ts = tsdata.TimeSeries(values=np.random.default_rng(seed).normal(size=(w + extra, d)))
-        ws = tsdata.make_windows(ts, w, stride)
-        want = np.array([ts.values[s : s + w].reshape(-1) for s in ws.starts])
-        assert ws.windows.tobytes() == want.tobytes()
-        assert ws.windows.flags.owndata and ws.windows.flags.c_contiguous
-        ws.windows[:] = 0.0
-        assert np.array_equal(ts.values.reshape(-1)[: want.shape[1]], want[0])
+        values = np.random.default_rng(seed).normal(size=(w + extra, d))
+        windows = tsdata.make_windows(values, w, stride)
+        want = np.array([values[s : s + w] for s in range(0, extra + 1, stride)])
+        assert windows.tobytes() == want.tobytes()
+        assert windows.flags.owndata and windows.flags.c_contiguous
+        windows[:] = 0.0
+        assert np.array_equal(values[:w], want[0])
+
+    @pytest.mark.parametrize("w, stride", [(1, 1), (16, 3)])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_returns_a_copy(self, w, stride, d):
+        values = np.random.default_rng(w + d).normal(size=(40, d))
+        windows = tsdata.make_windows(values, w, stride)
+        assert windows.shape == ((40 - w) // stride + 1, w, d)
+        assert windows.flags.c_contiguous
+        assert not np.shares_memory(windows, values)
 
 
 class TestSynthScenario:
