@@ -31,21 +31,25 @@ def _parse_delta_set(text: str) -> tuple[int, ...]:
     return deltas
 
 
+def _add_options(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of an options dataclass, as gboc.options declares it."""
+    for f in dataclasses.fields(cls):
+        flag, kind = f.metadata["flag"] or "--" + f.name.replace("_", "-"), f.metadata["kind"]
+        if kind.type is bool:
+            how = {"action": "store_true", "help": f.metadata["help"]}
+        else:
+            how = {"metavar": flag[2:].replace("-", "_").upper(), "type": kind.type}
+        p.add_argument(flag, dest=f.name, default=f.default, **how)
+
+
 def _add_synth(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("synth", help="generate a labeled scenario dataset (train.csv/test.csv)")
     p.add_argument("--kind", required=True, choices=tsdata.SCENARIO_KINDS)
     p.add_argument("--length", type=int, default=2000, help="timesteps per split")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--spikes", dest="n_spikes", metavar="SPIKES", type=int)
-    p.add_argument("--shifts", dest="n_shifts", metavar="SHIFTS", type=int)
-    p.add_argument("--spike-mag", type=float)
-    p.add_argument("--shift-len", type=int)
-    p.add_argument("--shift-mag", type=float)
-    p.add_argument("--drift-slope", type=float)
-    p.add_argument("--noise-std", type=float)
-    p.add_argument("--channels", dest="n_channels", metavar="CHANNELS", type=int)
-    p.set_defaults(func=cmd_synth, **dataclasses.asdict(tsdata.SynthParams()))
+    _add_options(p, tsdata.SynthParams)
+    p.set_defaults(func=cmd_synth)
 
 
 def _add_train(sub: argparse._SubParsersAction) -> None:
@@ -54,24 +58,9 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--label-col", default=None, help="label column to drop from the training features")
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--out", default=None, help="optional training-curve CSV")
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--decoder-hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--smin", dest="s_min", metavar="SMIN", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rebuild-every", type=int)
-    p.add_argument("--gbc-off", action="store_true", help="replace balls with plain k-means centers")
-    p.add_argument("--prune-off", action="store_true", help="keep every ball, no radius pruning")
-    p.add_argument("--assign-unpruned", action="store_true", help="align against unpruned balls during training")
+    _add_options(p, TrainConfig)
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train, **dataclasses.asdict(TrainConfig()))
+    p.set_defaults(func=cmd_train)
 
 
 def _add_detect(sub: argparse._SubParsersAction) -> None:

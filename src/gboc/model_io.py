@@ -12,6 +12,7 @@ decoder block included, are rejected.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -26,14 +27,11 @@ from .tsdata import NormStats
 MAGIC = b"GBOC"
 FORMAT_VERSION = 2
 
-# The TrainConfig fields the file stores after the radii, in file order, with
-# the kind of each slot; window, stride, layers and hidden are read back from
-# the network dimensions. A flag is a u32 that holds 0 or 1.
-_CONFIG_TAIL = (
-    ("decoder_hidden", "u32"), ("epochs", "u32"), ("batch_size", "u32"), ("lr", "f64"), ("lam", "f64"),
-    ("s_min", "u32"), ("mu", "f64"), ("seed", "u64"), ("rebuild_every", "u32"), ("gbc_off", "flag"),
-    ("prune_off", "flag"), ("assign_unpruned", "flag"),
-)
+# The TrainConfig fields the file stores after the radii, in declaration
+# order, each in the slot its kind gives; window, stride, layers and hidden are
+# read back from the header. A flag is a u32 that holds 0 or 1.
+_CONFIG_TAIL = tuple((f.name, f.metadata["kind"].slot) for f in dataclasses.fields(TrainConfig)
+                     if f.name not in ("window", "stride", "layers", "hidden"))
 _FLAGS = [name for name, kind in _CONFIG_TAIL if kind == "flag"]
 
 _CODES = {"u32": "I", "flag": "I", "f64": "d", "u64": "Q"}

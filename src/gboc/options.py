@@ -1,0 +1,42 @@
+"""Options declared once. Each field of ``trainer.TrainConfig`` and
+``tsdata.SynthParams`` gives its default, its kind and, where the CLI flag is
+not ``--field-name``, its flag. From these, construction checks the values,
+``model_io`` lays out the config tail and ``cli`` adds the flags."""
+from __future__ import annotations
+
+import collections
+import dataclasses
+import math
+
+from .errors import BadParams
+
+# A kind: the Python type of an option, its model-file slot (None where the
+# file stores no such option), and the values it accepts, as text and as a test.
+Kind = collections.namedtuple("Kind", "type slot text accepts")
+
+COUNT = Kind(int, "u32", "in [1, 2**32)", lambda v: 1 <= v < 2**32)
+LAYERS = Kind(int, "u32", "1, 2 or 3", lambda v: v in (1, 2, 3))
+SEED = Kind(int, "u64", "in [0, 2**64)", lambda v: 0 <= v < 2**64)
+AT_LEAST_0 = Kind(int, None, ">= 0", lambda v: v >= 0)
+AT_LEAST_1 = Kind(int, None, ">= 1", lambda v: v >= 1)
+POSITIVE = Kind(float, "f64", "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+NONNEGATIVE = Kind(float, "f64", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+FRACTION = Kind(float, "f64", "in [0, 1]", lambda v: 0 <= v <= 1)
+# not checked here: the model-file writer refuses a switch that is not 0 or 1
+SWITCH = Kind(bool, "flag", "0 or 1", lambda v: True)
+
+
+def option(default, kind, flag: str | None = None, help: str | None = None):
+    """The dataclass field of one option; help is that of a switch's flag."""
+    return dataclasses.field(default=default, metadata={"kind": kind, "flag": flag, "help": help})
+
+
+class Options:
+    """Base of an options dataclass: construction raises BadParams naming
+    the first field, in declaration order, whose kind rejects its value."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            kind, value = f.metadata["kind"], getattr(self, f.name)
+            if not kind.accepts(value):
+                raise BadParams(f"{f.name} must be {kind.text}, got {value}")

@@ -11,55 +11,34 @@ shipped model. Fully deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import copy
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import granular, neural, tsdata
-from .errors import BadParams, NonFiniteLoss
+from .errors import NonFiniteLoss
+from .options import COUNT, FRACTION, LAYERS, POSITIVE, SEED, SWITCH, Options, option
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    window: int = 2
-    stride: int = 1
-    layers: int = 2
-    hidden: int = 32
-    decoder_hidden: int = 64
-    epochs: int = 20
-    batch_size: int = 32
-    lr: float = 1e-4
-    lam: float = 0.5
-    s_min: int = 8
-    mu: float = 2.0
-    seed: int = 2024
-    rebuild_every: int = 1
-    gbc_off: bool = False
-    prune_off: bool = False
-    assign_unpruned: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise BadParams(f"lambda must be in [0, 1], got {self.lam}")
-        if self.batch_size < 1 or self.epochs < 1 or self.rebuild_every < 1:
-            raise BadParams("batch_size, epochs and rebuild_every must be >= 1")
-        if self.layers not in (1, 2, 3):
-            raise BadParams(f"layers must be 1, 2 or 3, got {self.layers}")
-        if min(self.window, self.stride, self.hidden, self.decoder_hidden, self.s_min) < 1:
-            raise BadParams("window, stride, hidden, decoder_hidden and s_min must be >= 1")
-        u32_fields = (self.epochs, self.batch_size, self.rebuild_every, self.window, self.stride,
-                      self.hidden, self.decoder_hidden, self.s_min)
-        if max(u32_fields) >= 2**32:
-            raise BadParams(
-                "epochs, batch_size, rebuild_every, window, stride, hidden, decoder_hidden "
-                "and s_min must be < 2**32, the model file stores them as u32"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise BadParams(f"seed must be in [0, 2**64), got {self.seed}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.lr, self.mu)):
-            raise BadParams(f"lr and mu must be finite and positive, got {self.lr} and {self.mu}")
+class TrainConfig(Options):
+    window: int = option(2, COUNT)
+    stride: int = option(1, COUNT)
+    layers: int = option(2, LAYERS)
+    hidden: int = option(32, COUNT)
+    decoder_hidden: int = option(64, COUNT)
+    epochs: int = option(20, COUNT)
+    batch_size: int = option(32, COUNT, flag="--batch")
+    lr: float = option(1e-4, POSITIVE)
+    lam: float = option(0.5, FRACTION, flag="--lambda")
+    s_min: int = option(8, COUNT, flag="--smin")
+    mu: float = option(2.0, POSITIVE)
+    seed: int = option(2024, SEED)
+    rebuild_every: int = option(1, COUNT)
+    gbc_off: bool = option(False, SWITCH, help="replace balls with plain k-means centers")
+    prune_off: bool = option(False, SWITCH, help="keep every ball, no radius pruning")
+    assign_unpruned: bool = option(False, SWITCH, help="align against unpruned balls during training")
 
 
 @dataclass(frozen=True)
@@ -118,8 +97,6 @@ def train(
     train_ts: tsdata.TimeSeries, cfg: TrainConfig, verbose: bool = False
 ) -> tuple[GbocModel, list[EpochReport]]:
     """Fit the full model on an anomaly-free series."""
-    if train_ts.T < cfg.window:
-        raise BadParams(f"series length {train_ts.T} is shorter than the window {cfg.window}")
     stats = tsdata.fit_normalizer(train_ts)
     X = tsdata.make_windows(tsdata.apply_normalizer(train_ts, stats), cfg.window, cfg.stride)
     targets = X.reshape(len(X), -1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     WindowTooLong,
 )
+from .options import AT_LEAST_0, AT_LEAST_1, COUNT, NONNEGATIVE, POSITIVE, Options, option
 
 EPS_STD = 1e-8
 
@@ -263,7 +264,7 @@ def fit_normalizer(train: TimeSeries) -> NormStats:
 def apply_normalizer(ts: TimeSeries, stats: NormStats) -> np.ndarray:
     """The series' values z-scored by the training stats, as a (T, d) float64 array."""
     if stats.mean.shape != (ts.d,) or stats.std.shape != (ts.d,):
-        raise BadParams(f"normalizer is for d={stats.mean.shape[0]} channels, series has d={ts.d}")
+        raise ModelMismatch(f"normalizer is for d={stats.mean.shape[0]} channels, series has d={ts.d}")
     with np.errstate(over="ignore"):
         values = (ts.values - stats.mean) / stats.std
     if not np.all(np.isfinite(values)):
@@ -284,32 +285,17 @@ def make_windows(values: np.ndarray, w: int, stride: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SynthParams:
-    """Knobs for the scenario generator; magnitudes must be positive."""
+class SynthParams(Options):
+    """Knobs for the scenario generator."""
 
-    n_spikes: int = 8
-    n_shifts: int = 2
-    spike_mag: float = 5.0
-    shift_len: int = 20
-    shift_mag: float = 3.0
-    drift_slope: float = 0.001
-    noise_std: float = 0.3
-    n_channels: int = 1
-
-    def __post_init__(self):
-        for name in ("spike_mag", "shift_mag", "drift_slope", "noise_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise BadParams(f"{name} must be finite, got {getattr(self, name)}")
-        if self.spike_mag <= 0 or self.shift_mag <= 0:
-            raise BadParams("spike and shift magnitudes must be positive")
-        if self.shift_len <= 0 or self.n_channels <= 0:
-            raise BadParams("shift length and channel count must be positive")
-        if self.n_channels >= 2**32:
-            raise BadParams(f"channel count must be < 2**32, got {self.n_channels}")
-        if self.n_spikes < 0 or self.n_shifts < 0:
-            raise BadParams("anomaly counts must be nonnegative")
-        if self.drift_slope < 0 or self.noise_std < 0:
-            raise BadParams("drift slope and noise scale must be nonnegative")
+    n_spikes: int = option(8, AT_LEAST_0, flag="--spikes")
+    n_shifts: int = option(2, AT_LEAST_0, flag="--shifts")
+    spike_mag: float = option(5.0, POSITIVE)
+    shift_len: int = option(20, AT_LEAST_1)
+    shift_mag: float = option(3.0, POSITIVE)
+    drift_slope: float = option(0.001, NONNEGATIVE)
+    noise_std: float = option(0.3, NONNEGATIVE)
+    n_channels: int = option(1, COUNT, flag="--channels")
 
 
 SCENARIO_KINDS = ("clean", "drift", "noise", "drift_noise")
@@ -330,6 +316,8 @@ def _base_signal(T: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+# the test split's finiteness check names the knobs to lower; NumPy would only warn
+@np.errstate(over="ignore", invalid="ignore")
 def synth_scenario(
     kind: str, T: int, seed: int, params: SynthParams | None = None
 ) -> tuple[TimeSeries, TimeSeries]:
@@ -391,6 +379,9 @@ def synth_scenario(
         test_values += trend[:, None]
     if kind in ("noise", "drift_noise"):
         test_values += params.noise_std * rng.standard_normal(size=(T, d))
+    if not np.all(np.isfinite(test_values)):
+        knobs = ", ".join(f.name for f in fields(params) if f.metadata["kind"].type is float)
+        raise BadParams(f"the test split overflows float64; lower one of {knobs}")
 
     names = [f"v{i}" for i in range(d)]
     train = TimeSeries(values=train_values, labels=np.zeros(T, dtype=np.int64), channel_names=names)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from gboc import granular, neural, tsdata
-from gboc.errors import MissingFile, NonBinaryLabel, ParseError, ShapeMismatch
+from gboc.errors import BadParams, MissingFile, NonBinaryLabel, ParseError, ShapeMismatch
 
 
 def naive_encode(enc: neural.EncoderParams, window: np.ndarray) -> np.ndarray:
@@ -215,19 +215,6 @@ def decode_batch(dec: neural.DecoderParams, Z: np.ndarray) -> np.ndarray:
 def naive_decode(dec: neural.DecoderParams, z: np.ndarray) -> np.ndarray:
     hidden = np.tanh(dec.W1 @ np.asarray(z, dtype=np.float64) + dec.b1)
     return dec.W2 @ hidden + dec.b2
-
-
-def joint_loss(enc, dec, X, Y, centers, assignment, lam) -> float:
-    """Loss recomputed from single-sample naive passes."""
-    B = X.shape[0]
-    rec = 0.0
-    gb = 0.0
-    for i in range(B):
-        z = naive_encode(enc, X[i])
-        r = naive_decode(dec, z)
-        rec += float(np.sum((r - Y[i]) ** 2))
-        gb += float(np.sum((z - centers[assignment[i]]) ** 2))
-    return lam * rec / B + (1.0 - lam) * gb / B
 
 
 def fd_gradient_check(enc, dec, X, Y, centers, assignment, lam, step=1e-5) -> float:
@@ -447,3 +434,43 @@ def csv_writer_write(path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def reference_train_config_check(cfg) -> None:
+    """TrainConfig's hand-written checks as they stood before each field
+    declared its own kind; cfg is any object with the config's attributes."""
+    if not 0.0 <= cfg.lam <= 1.0:
+        raise BadParams(f"lambda must be in [0, 1], got {cfg.lam}")
+    if cfg.batch_size < 1 or cfg.epochs < 1 or cfg.rebuild_every < 1:
+        raise BadParams("batch_size, epochs and rebuild_every must be >= 1")
+    if cfg.layers not in (1, 2, 3):
+        raise BadParams(f"layers must be 1, 2 or 3, got {cfg.layers}")
+    if min(cfg.window, cfg.stride, cfg.hidden, cfg.decoder_hidden, cfg.s_min) < 1:
+        raise BadParams("window, stride, hidden, decoder_hidden and s_min must be >= 1")
+    u32_fields = (cfg.epochs, cfg.batch_size, cfg.rebuild_every, cfg.window, cfg.stride, cfg.hidden,
+                  cfg.decoder_hidden, cfg.s_min)
+    if max(u32_fields) >= 2**32:
+        raise BadParams("epochs, batch_size, rebuild_every, window, stride, hidden, decoder_hidden and s_min "
+                        "must be < 2**32, the model file stores them as u32")
+    if not 0 <= cfg.seed < 2**64:
+        raise BadParams(f"seed must be in [0, 2**64), got {cfg.seed}")
+    if not all(math.isfinite(v) and v > 0 for v in (cfg.lr, cfg.mu)):
+        raise BadParams(f"lr and mu must be finite and positive, got {cfg.lr} and {cfg.mu}")
+
+
+def reference_synth_params_check(params) -> None:
+    """SynthParams' hand-written checks as they stood before each field
+    declared its own kind; params is any object with the knobs' attributes."""
+    for name in ("spike_mag", "shift_mag", "drift_slope", "noise_std"):
+        if not math.isfinite(getattr(params, name)):
+            raise BadParams(f"{name} must be finite, got {getattr(params, name)}")
+    if params.spike_mag <= 0 or params.shift_mag <= 0:
+        raise BadParams("spike and shift magnitudes must be positive")
+    if params.shift_len <= 0 or params.n_channels <= 0:
+        raise BadParams("shift length and channel count must be positive")
+    if params.n_channels >= 2**32:
+        raise BadParams(f"channel count must be < 2**32, got {params.n_channels}")
+    if params.n_spikes < 0 or params.n_shifts < 0:
+        raise BadParams("anomaly counts must be nonnegative")
+    if params.drift_slope < 0 or params.noise_std < 0:
+        raise BadParams("drift slope and noise scale must be nonnegative")

@@ -401,6 +401,8 @@ class TestErrors:
             ("--lr", "0"),
             ("--lr", "inf"),
             ("--batch", str(2**32)),
+            ("--stride", "0"),
+            ("--epochs", "5000000000"),
         ],
     )
     def test_bad_train_config_rejected_before_training(self, small_pipeline, tmp_path, capsys, flag, value):
@@ -417,8 +419,21 @@ class TestErrors:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")  # no per-epoch progress line came first
+        # no per-epoch progress line came first, and the field behind the flag is named
+        assert err.startswith(f"error: {TRAIN_FLAGS[flag][0]} must be "), err
         assert not model.exists()
+
+    def test_too_short_series_is_the_same_error_in_train_and_detect(self, small_pipeline, tmp_path, capsys):
+        three = tmp_path / "three.csv"
+        three.write_text("v0\n1\n2\n3\n")
+        model = tmp_path / "w4.gboc"
+        fit = ["train", "--train-csv", str(small_pipeline["data"] / "train.csv"), "--label-col", "label",
+               "--model", str(model), "--window", "4", "--epochs", "1", "--quiet"]
+        assert cli.main(fit) == 0
+        train = ["train", "--train-csv", str(three), "--window", "4", "--model", str(tmp_path / "t.gboc"), "--quiet"]
+        detect = ["detect", "--test-csv", str(three), "--model", str(model), "--out", str(tmp_path / "r.csv")]
+        errors = [_one_error_line(argv, capsys) for argv in (train, detect)]
+        assert errors[0] == errors[1] == "error: window length 4 exceeds series length 3"
 
     def test_train_into_missing_directory_fails_before_training(self, small_pipeline, tmp_path, capsys):
         for out_flag in ("--model", "--out"):
@@ -717,3 +732,11 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("kind, flag, value", [("noise", "--noise-std", "1e308"),
+                                                   ("drift", "--drift-slope", "1e307")])
+    def test_overflowing_test_split_is_one_error_line(self, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "data"
+        argv = ["synth", "--kind", kind, "--length", "200", "--out", str(out), flag, value]
+        assert _one_error_line(argv, capsys).startswith("error: the test split overflows float64; lower ")
+        assert not out.exists()

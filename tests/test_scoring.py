@@ -179,6 +179,11 @@ class TestDetect:
         assert np.array_equal(rep1.flags, (rep1.point_scores > rep1.threshold).astype(np.int64))
         assert np.all(rep1.point_scores >= 0)
 
+    def test_series_with_other_channel_count_is_a_model_mismatch(self):
+        ts = tsdata.TimeSeries(values=np.zeros((20, 2)))
+        with pytest.raises(ModelMismatch, match="normalizer is for d=1 channels, series has d=2"):
+            scoring.detect(make_model(d=1), ts)
+
     def test_external_threshold_scores(self):
         model = make_model(seed=12)
         rng = np.random.default_rng(13)

@@ -11,7 +11,7 @@ from conftest import read_curve
 from oracles import decode_batch
 import gboc
 from gboc import cli, granular, model_io, neural, trainer, tsdata
-from gboc.errors import BadParams, EmptySet, NonFiniteLoss
+from gboc.errors import EmptySet, NonFiniteLoss, WindowTooLong
 
 
 def tiny_series(T=160, seed=0) -> tsdata.TimeSeries:
@@ -186,8 +186,9 @@ class TestTrain:
         assert calls.count(n) == 3
 
     def test_series_shorter_than_window(self):
+        # make_windows owns the rule, so train and detect reject it alike
         ts = tsdata.TimeSeries(values=np.zeros((3, 1)))
-        with pytest.raises(BadParams):
+        with pytest.raises(WindowTooLong):
             trainer.train(ts, tiny_config(window=5))
 
     def test_divergence_raises_nonfinite_loss(self):
