@@ -7,6 +7,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import numbers
 
 from .errors import BadParams
 
@@ -14,11 +15,18 @@ from .errors import BadParams
 # file stores no such option), and the values it accepts, as text and as a test.
 Kind = collections.namedtuple("Kind", "type slot text accepts")
 
-COUNT = Kind(int, "u32", "in [1, 2**32)", lambda v: 1 <= v < 2**32)
-LAYERS = Kind(int, "u32", "1, 2 or 3", lambda v: v in (1, 2, 3))
-SEED = Kind(int, "u64", "in [0, 2**64)", lambda v: 0 <= v < 2**64)
-AT_LEAST_0 = Kind(int, None, ">= 0", lambda v: v >= 0)
-AT_LEAST_1 = Kind(int, None, ">= 1", lambda v: v >= 1)
+
+def _integer(accepts):
+    """The test of an integer kind: a Python or NumPy integer, not a bool and
+    not a float even when integral, that passes accepts."""
+    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and accepts(v)
+
+
+COUNT = Kind(int, "u32", "an integer in [1, 2**32)", _integer(lambda v: 1 <= v < 2**32))
+LAYERS = Kind(int, "u32", "1, 2 or 3", _integer(lambda v: v in (1, 2, 3)))
+SEED = Kind(int, "u64", "an integer in [0, 2**64)", _integer(lambda v: 0 <= v < 2**64))
+AT_LEAST_0 = Kind(int, None, "an integer >= 0", _integer(lambda v: v >= 0))
+AT_LEAST_1 = Kind(int, None, "an integer >= 1", _integer(lambda v: v >= 1))
 POSITIVE = Kind(float, "f64", "finite and > 0", lambda v: math.isfinite(v) and v > 0)
 NONNEGATIVE = Kind(float, "f64", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 FRACTION = Kind(float, "f64", "in [0, 1]", lambda v: 0 <= v <= 1)
@@ -39,4 +47,4 @@ class Options:
         for f in dataclasses.fields(self):
             kind, value = f.metadata["kind"], getattr(self, f.name)
             if not kind.accepts(value):
-                raise BadParams(f"{f.name} must be {kind.text}, got {value}")
+                raise BadParams(f"{f.name} must be {kind.text}, got {value!r}")

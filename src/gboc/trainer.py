@@ -1,12 +1,16 @@
 """Training loop: periodic ball rebuilds in latent space plus joint-loss descent.
 
-Every rebuild_every epochs, starting with the first, the loop encodes every
-training window and rebuilds and prunes the ball set over those latents.
-Each epoch walks seeded shuffled batches minimizing lam * reconstruction +
+At epochs 1, 1 + rebuild_every, 1 + 2 * rebuild_every, ... the loop encodes
+every training window and rebuilds and prunes the ball set over those
+latents; the epochs in between keep the last build's centers. Each epoch
+walks seeded shuffled batches minimizing lam * reconstruction +
 (1 - lam) * center alignment against the current centers; each batch's one
 forward pass yields both its nearest-center assignment and its gradients.
-After the last epoch the balls are rebuilt from the final latents to form the
-shipped model. Fully deterministic for a fixed config and seed.
+The builds during training only set those alignment targets: after the last
+epoch the balls are always rebuilt from the final latents to form the
+shipped model. With the default period of 10, a 10-epoch train builds twice
+and a 20-epoch train three times. Fully deterministic for a fixed config and
+seed.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ class TrainConfig(Options):
     s_min: int = option(8, COUNT, flag="--smin")
     mu: float = option(2.0, POSITIVE)
     seed: int = option(2024, SEED)
-    rebuild_every: int = option(1, COUNT)
+    rebuild_every: int = option(10, COUNT)
     gbc_off: bool = option(False, SWITCH, help="replace balls with plain k-means centers")
     prune_off: bool = option(False, SWITCH, help="keep every ball, no radius pruning")
     assign_unpruned: bool = option(False, SWITCH, help="align against unpruned balls during training")
@@ -111,7 +115,8 @@ def train(
 
     reports: list[EpochReport] = []
     for epoch in range(1, cfg.epochs + 1):
-        if (epoch - 1) % cfg.rebuild_every == 0:
+        rebuilt = (epoch - 1) % cfg.rebuild_every == 0
+        if rebuilt:
             training_set, shipped, before = _build_balls(enc, X, cfg, epoch, verbose)
             centers = training_set.centers
 
@@ -137,10 +142,11 @@ def train(
         )
         reports.append(report)
         if verbose:
+            # ball counts repeated on an epoch that built none would suggest a build
+            balls = f"  balls {before}->{report.balls_after}" if rebuilt else ""
             print(
                 f"epoch {epoch:3d}  loss {report.mean_loss:.6f}  "
-                f"rec {report.mean_lrec:.6f}  gb {report.mean_lgb:.6f}  "
-                f"balls {before}->{report.balls_after}",
+                f"rec {report.mean_lrec:.6f}  gb {report.mean_lgb:.6f}{balls}",
                 file=sys.stderr,
             )
 

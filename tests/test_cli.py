@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_report, run_cli_pipeline
+from conftest import read_curve, read_report, run_cli_pipeline
 from gboc import cli, model_io, scoring, tsdata
 from gboc.trainer import TrainConfig
 
@@ -216,8 +216,9 @@ class TestPipeline:
 )
 def test_prune_fallback_is_one_stderr_line_per_build_unless_quiet(tmp_path, capsys, epochs, mu, builds):
     assert cli.main(["synth", "--kind", "noise", "--length", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
+    # a build every epoch, so that a 2-epoch train builds at epochs 1 and 2
     argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
-            "--epochs", epochs, "--mu", mu, "--seed", "1"]
+            "--epochs", epochs, "--mu", mu, "--seed", "1", "--rebuild-every", "1"]
     capsys.readouterr()
     assert cli.main([*argv, "--model", str(tmp_path / "loud.gboc")]) == 0
     loud = capsys.readouterr().err.splitlines()
@@ -228,6 +229,21 @@ def test_prune_fallback_is_one_stderr_line_per_build_unless_quiet(tmp_path, caps
     assert not any("Warning" in line for line in loud)
     assert len(quiet) == 1 and quiet[0].startswith("model written to")
     assert (tmp_path / "loud.gboc").read_bytes() == (tmp_path / "quiet.gboc").read_bytes()
+
+
+def test_epoch_line_names_the_balls_only_on_epochs_that_built_them(tmp_path, capsys):
+    assert cli.main(["synth", "--kind", "noise", "--length", "200", "--seed", "7", "--out", str(tmp_path)]) == 0
+    argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
+            "--epochs", "3", "--rebuild-every", "2", "--model", str(tmp_path / "m.gboc")]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "curve.csv")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("epoch")]
+    curve = read_curve(tmp_path / "curve.csv")
+    # builds at epochs 1 and 3; the curve still gives every epoch its ball counts
+    assert len(lines) == len(curve) == 3
+    for line, row in zip(lines, curve):
+        named = f"  balls {row['balls_before']}->{row['balls_after']}"
+        assert line.endswith(named) if row["epoch"] != 2 else "balls" not in line
 
 
 def _overflowing_csv(directory) -> str:

@@ -33,6 +33,8 @@ def random_model(seed: int) -> trainer.GbocModel:
         s_min=int(rng.integers(2, 16)),
         mu=float(rng.uniform(1.0, 3.0)),
         seed=int(rng.integers(0, 2**31)),
+        # the pinned digests below were taken when 1 was the default
+        rebuild_every=1,
         gbc_off=bool(rng.integers(0, 2)),
         prune_off=bool(rng.integers(0, 2)),
         assign_unpruned=bool(rng.integers(0, 2)),

@@ -3,8 +3,10 @@ config tail and the checks all follow the fields, and the checks accept the
 same values as the hand-written ones they replaced."""
 import dataclasses
 import math
+import re
 import types
 
+import numpy as np
 import pytest
 
 from gboc import cli, model_io, tsdata
@@ -55,13 +57,27 @@ def test_checks_accept_what_the_hand_written_checks_accepted(cls):
             if new is not None and not new.startswith(f"{f.name} must be "):
                 misnamed.append(new)
     # the two agree on every integer and on every value of a float field. A
-    # non-integer in an integer field, which neither the CLI nor a model file
-    # gives, is now rejected where the reference let it through: nan failed
-    # every comparison the reference made, and 0.5 passed its "positive"
+    # float in an integer field, which neither the CLI nor a model file gives,
+    # is now rejected wherever the reference let it through (nan failed every
+    # comparison it made, and 0.5, 1.0 and 1.5 passed its range tests)
     int_fields = {f.name for f in dataclasses.fields(cls) if f.metadata["kind"].type is int}
-    assert all(name in int_fields and (math.isnan(value) or value == 0.5) and new is not None
+    assert all(name in int_fields and isinstance(value, float) and new is not None
                for name, value, new in differ), differ
     assert not misnamed, misnamed
+
+
+@each_options_class
+def test_integer_fields_take_integers_only(cls):
+    int_fields = [f.name for f in dataclasses.fields(cls) if f.metadata["kind"].type is int]
+    for name in int_fields:
+        default = getattr(cls(), name)
+        # 2.0 and True are rejected too: an option is a count, not a number
+        for value in (float(default), default + 0.5, True, str(default), None):
+            with pytest.raises(BadParams, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+                cls(**{name: value})
+        # NumPy integers, as a caller indexing an array would pass them
+        for np_int in (np.int64, np.uint32):
+            assert getattr(cls(**{name: np_int(default)}), name) == default
 
 
 @each_options_class

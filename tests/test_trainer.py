@@ -168,6 +168,22 @@ class TestTrain:
         assert reports[0].balls_before == reports[1].balls_before
         assert reports[2].balls_before == reports[3].balls_before
 
+    @pytest.mark.parametrize("epochs, build_epochs", [(10, [1, 11]), (20, [1, 11, 21])])
+    def test_default_period_builds_at_epoch_1_every_10th_epoch_and_at_the_end(self, monkeypatch, epochs, build_epochs):
+        # the final build is numbered epochs + 1
+        builds = []
+        build = trainer._build_balls
+
+        def counted(enc, X, cfg, epoch, verbose):
+            builds.append(epoch)
+            return build(enc, X, cfg, epoch, verbose)
+
+        monkeypatch.setattr(trainer, "_build_balls", counted)
+        cfg = trainer.TrainConfig(epochs=epochs, layers=1, hidden=6, decoder_hidden=8, batch_size=64)
+        _, reports = trainer.train(tiny_series(T=80), cfg)
+        assert builds == build_epochs
+        assert len({r.balls_before for r in reports[:10]}) == 1
+
     def test_one_encoder_pass_per_batch_and_per_ball_build(self, monkeypatch):
         ts = tiny_series()
         cfg = tiny_config(epochs=4, rebuild_every=2)
