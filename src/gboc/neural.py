@@ -176,10 +176,10 @@ class _StepArrays:
 
 class _Workspace:
     """The arrays of a no-cache forward pass over blocks of up to `rows`
-    windows: one set of step arrays, whose state arrays each step
-    overwrites; the output sequence of the layers below the top one, which
-    each such layer rewrites in place, since step t reads its input t
-    before it writes its output t; and the latents."""
+    windows: one set of step arrays, which every step rewrites; the output
+    sequence of the layers below the top one, which each such layer rewrites
+    in place, since step t reads its input t before it writes its output t;
+    and the latents."""
 
     def __init__(self, enc: EncoderParams, rows: int, w: int) -> None:
         h = enc.hidden_size
@@ -189,48 +189,41 @@ class _Workspace:
 
 
 def _forward_encoder(
-    enc: EncoderParams, X: np.ndarray, keep_cache: bool, ws: _Workspace | None = None
-) -> tuple[np.ndarray, list | None]:
-    """Run the stack over X (B, w, d); return latents (B, L*h) and, optionally,
-    the per-layer per-step cache needed for BPTT.
+    enc: EncoderParams, X: np.ndarray, ws: _Workspace | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, list[_StepArrays]]]]:
+    """Run the stack over X (B, w, d); return latents (B, L*h) and, per
+    layer, its input sequence and the step arrays of its w steps.
 
-    With keep_cache, every step writes fresh arrays, which the cache holds;
-    without, every array lives in ws, and the latents returned are ws's."""
+    Without ws, every step writes a fresh set of step arrays, and the lists
+    are the cache BPTT reads. With ws, every step writes ws's one set, so
+    step t reads step t - 1's state from the arrays it then overwrites, each
+    before it is written, and the latents returned are ws's."""
     B, w, d = X.shape
     if d != enc.input_size:
         raise ShapeMismatch(f"window has {d} channels, encoder expects {enc.input_size}")
     h = enc.hidden_size
     top = enc.num_layers - 1
-    z = np.empty((B, enc.latent_size)) if keep_cache else ws.z[:B]
+    z = np.empty((B, enc.latent_size)) if ws is None else ws.z[:B]
     seq = X
-    cache: list | None = [] if keep_cache else None
+    cache = []
     for l, layer in enumerate(enc.layers):
+        steps = [_StepArrays.empty(B, h) for _ in range(w)] if ws is None else [ws.step.head(B)] * w
         # the top layer's output sequence is never read
-        if keep_cache:
-            hs, cs = np.zeros((B, h)), np.zeros((B, h))
-            outputs = np.empty((B, w, h)) if l < top else None
-            steps = []
-        else:
-            # step 0 reads neither state, so the reused arrays need no zeroing
-            out = ws.step.head(B)
-            hs, cs = out.h, out.c
-            outputs = ws.seq[:B] if l < top else None
-        for t in range(w):
-            xt = seq[:, t, :]
-            if keep_cache:
-                out = _StepArrays.empty(B, h)
-            # the cell step, the same in both modes; out.h and out.c may be
-            # hs and cs themselves, each read before it is written
-            a = np.matmul(xt, layer.W.T, out=out.a)
+        outputs = None if l == top else np.empty((B, w, h)) if ws is None else ws.seq[:B]
+        for t, out in enumerate(steps):
+            # step 0 runs from zero state and never reads prev, so no array
+            # needs zeroing
+            prev = steps[t - 1]
+            a = np.matmul(seq[:, t, :], layer.W.T, out=out.a)
             if t:
-                a += np.matmul(hs, layer.U.T, out=out.rec)
+                a += np.matmul(prev.h, layer.U.T, out=out.rec)
             a += layer.b
             i_f = _sigmoid(a[:, : 2 * h], out.i_f, out.den_if)
             i, f = i_f[:, :h], i_f[:, h:]
             g = np.tanh(a[:, 2 * h : 3 * h], out=out.g)
             o = _sigmoid(a[:, 3 * h :], out.o, out.den_o)
             if t:
-                c_new = np.multiply(f, cs, out=out.c)
+                c_new = np.multiply(f, prev.c, out=out.c)
                 c_new += np.multiply(i, g, out=out.ig)
             else:
                 # from zero state; adding +0.0, as f * c_prev would, turns the
@@ -239,14 +232,10 @@ def _forward_encoder(
                 c_new += 0.0
             tanh_c = np.tanh(c_new, out=out.tanh_c)
             h_new = np.multiply(o, tanh_c, out=out.h)
-            if keep_cache:
-                steps.append((xt, hs, cs, i, f, g, o, tanh_c))
-            hs, cs = h_new, c_new
             if outputs is not None:
                 outputs[:, t, :] = h_new
-        z[:, l * h : (l + 1) * h] = hs
-        if keep_cache:
-            cache.append((seq, steps))
+        z[:, l * h : (l + 1) * h] = steps[-1].h
+        cache.append((seq, steps))
         seq = outputs
     return z, cache
 
@@ -268,7 +257,7 @@ def encode_blocks(enc: EncoderParams, X: np.ndarray) -> Iterator[tuple[slice, np
     start = 0
     for x_block in np.array_split(X, n_blocks):
         stop = start + x_block.shape[0]
-        yield slice(start, stop), _forward_encoder(enc, x_block, False, ws)[0]
+        yield slice(start, stop), _forward_encoder(enc, x_block, ws)[0]
         start = stop
 
 
@@ -283,12 +272,12 @@ def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
 
 
 def _backward_encoder(enc: EncoderParams, cache: list, dZ: np.ndarray, grads: list[np.ndarray]) -> None:
-    """BPTT through the stack given dL/dz. Adds each layer's W, U and b
-    gradients into grads[3l], grads[3l + 1] and grads[3l + 2], which must
-    hold zeros."""
+    """BPTT through the stack given dL/dz and _forward_encoder's cache. Adds
+    each layer's W, U and b gradients into grads[3l], grads[3l + 1] and
+    grads[3l + 2], which must hold zeros."""
     h = enc.hidden_size
     B = dZ.shape[0]
-    w = len(cache[0][1])
+    c_zero = np.zeros((B, h))
     # gradient flowing into each layer's output sequence (from the layer above)
     d_seq_above: np.ndarray | None = None
     for l in range(enc.num_layers - 1, -1, -1):
@@ -296,11 +285,13 @@ def _backward_encoder(enc: EncoderParams, cache: list, dZ: np.ndarray, grads: li
         seq, steps = cache[l]
         dW, dU, db = grads[3 * l : 3 * l + 3]
         # the input windows take no gradient, so the bottom layer skips d_inputs
-        d_inputs = np.zeros((B, w, seq.shape[2])) if l > 0 else None
+        d_inputs = np.zeros(seq.shape) if l > 0 else None
         dh_next = dZ[:, l * h : (l + 1) * h].copy()
         dc_next = np.zeros((B, h))
-        for t in range(w - 1, -1, -1):
-            xt, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+        for t in range(len(steps) - 1, -1, -1):
+            s = steps[t]
+            i, f, g, o, tanh_c = s.i_f[:, :h], s.i_f[:, h:], s.g, s.o, s.tanh_c
+            c_prev = steps[t - 1].c if t else c_zero
             dh = dh_next
             if d_seq_above is not None:
                 dh = dh + d_seq_above[:, t, :]
@@ -310,15 +301,15 @@ def _backward_encoder(enc: EncoderParams, cache: list, dZ: np.ndarray, grads: li
             da_f = dc * c_prev * f * (1.0 - f)
             da_g = dc * i * (1.0 - g * g)
             da = np.concatenate([da_i, da_f, da_g, da_o], axis=1)
-            dW += da.T @ xt
+            dW += da.T @ seq[:, t, :]
             db += da.sum(axis=0)
             if d_inputs is not None:
                 d_inputs[:, t, :] = da @ layer.W
             if t:
-                # at t = 0, h_prev is the zero initial state, which takes no
-                # gradient; dU, started at +0, never holds -0.0, so adding the
-                # zero product da.T @ h_prev would leave its bits as they are
-                dU += da.T @ h_prev
+                # at t = 0, the zero initial state takes no gradient; dU,
+                # started at +0, never holds -0.0, so adding the zero product
+                # of da and that state would leave its bits as they are
+                dU += da.T @ steps[t - 1].h
                 dh_next = da @ layer.U
                 dc_next = dc * f
         d_seq_above = d_inputs
@@ -350,7 +341,7 @@ def backward(
     if Y.shape != (B, dec.output_size):
         raise ShapeMismatch(f"targets shape {Y.shape} does not match decoder output ({B}, {dec.output_size})")
 
-    z, cache = _forward_encoder(enc, X, keep_cache=True)
+    z, cache = _forward_encoder(enc, X)
     if assignment is None:
         assignment, _ = granular.nearest_centers(centers, z)
     hpre = z @ dec.W1.T + dec.b1
@@ -386,27 +377,43 @@ def backward(
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for one flat parameter vector."""
+    """Bias-corrected adaptive-moment optimizer state for one flat parameter
+    vector, with two scratch vectors of its size that each step writes
+    through."""
 
     lr: float
     step: int
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
+    denom: np.ndarray
 
 
 def init_adam(params: np.ndarray, lr: float) -> AdamState:
-    return AdamState(lr=lr, step=0, m=np.zeros_like(params), v=np.zeros_like(params))
+    m, v, scratch, denom = (np.zeros_like(params) for _ in range(4))
+    return AdamState(lr=lr, step=0, m=m, v=v, scratch=scratch, denom=denom)
 
 
 def opt_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
-    """In-place bias-corrected update: p -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)."""
+    """In-place bias-corrected update: p -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS).
+
+    Every product keeps the operands and order of that formula written with
+    fresh arrays, up to commuting, so the bits are the same."""
     if grad.shape != params.shape:
         raise ShapeMismatch(f"gradient shape {grad.shape} does not match parameters {params.shape}")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
+    t, denom = state.scratch, state.denom
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
+    state.m += np.multiply(grad, 1.0 - ADAM_BETA1, out=t)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * (grad * grad)
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    np.multiply(grad, grad, out=t)
+    state.v += np.multiply(t, 1.0 - ADAM_BETA2, out=t)
+    np.divide(state.m, c1, out=t)
+    t *= state.lr
+    np.divide(state.v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    t /= denom
+    params -= t

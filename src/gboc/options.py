@@ -9,6 +9,8 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
+
 from .errors import BadParams
 
 # A kind: the Python type of an option, its model-file slot (None where the
@@ -22,16 +24,31 @@ def _integer(accepts):
     return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and accepts(v)
 
 
+def _real(accepts):
+    """The test of a float kind: a Python or NumPy real number, not a bool,
+    whose float64 value passes accepts. An integer too large for a float64
+    fails, as the model file stores the value as one."""
+
+    def test(v):
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            return False
+        try:
+            return accepts(float(v))
+        except OverflowError:
+            return False
+
+    return test
+
+
 COUNT = Kind(int, "u32", "an integer in [1, 2**32)", _integer(lambda v: 1 <= v < 2**32))
 LAYERS = Kind(int, "u32", "1, 2 or 3", _integer(lambda v: v in (1, 2, 3)))
 SEED = Kind(int, "u64", "an integer in [0, 2**64)", _integer(lambda v: 0 <= v < 2**64))
 AT_LEAST_0 = Kind(int, None, "an integer >= 0", _integer(lambda v: v >= 0))
 AT_LEAST_1 = Kind(int, None, "an integer >= 1", _integer(lambda v: v >= 1))
-POSITIVE = Kind(float, "f64", "finite and > 0", lambda v: math.isfinite(v) and v > 0)
-NONNEGATIVE = Kind(float, "f64", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
-FRACTION = Kind(float, "f64", "in [0, 1]", lambda v: 0 <= v <= 1)
-# not checked here: the model-file writer refuses a switch that is not 0 or 1
-SWITCH = Kind(bool, "flag", "0 or 1", lambda v: True)
+POSITIVE = Kind(float, "f64", "finite and > 0", _real(lambda v: math.isfinite(v) and v > 0))
+NONNEGATIVE = Kind(float, "f64", "finite and >= 0", _real(lambda v: math.isfinite(v) and v >= 0))
+FRACTION = Kind(float, "f64", "in [0, 1]", _real(lambda v: 0 <= v <= 1))
+SWITCH = Kind(bool, "flag", "True or False", lambda v: isinstance(v, (bool, np.bool_)))
 
 
 def option(default, kind, flag: str | None = None, help: str | None = None):

@@ -127,7 +127,7 @@ class TestZeroStateFirstStep:
         X = np.array(data.draw(st.lists(ENCODER_INPUT, min_size=B * w * d, max_size=B * w * d))).reshape(B, w, d)
         dZ = rng.normal(size=(B, enc.latent_size)) * rng.integers(0, 2, size=(B, enc.latent_size))
 
-        z, cache = neural._forward_encoder(enc, X, keep_cache=True)
+        z, cache = neural._forward_encoder(enc, X)
         z_full, cache_full = full_step_forward(enc, X)
         assert z.tobytes() == z_full.tobytes()
         assert neural.encode_batch(enc, X).tobytes() == z_full.tobytes()
@@ -145,8 +145,8 @@ class TestZeroStateFirstStep:
         enc.layers[0].W[:, 0] = [1.0, 1.0, 1.0, 1.0]
         enc.layers[0].b[:] = 0.0
         X = np.full((1, 1, 1), -3000.0)
-        z, cache = neural._forward_encoder(enc, X, keep_cache=True)
-        assert cache[0][1][0][3][0, 0] == 0.0 and np.signbit(cache[0][1][0][5][0, 0])  # i = +0, g = -1
+        z, cache = neural._forward_encoder(enc, X)
+        assert cache[0][1][0].i_f[0, 0] == 0.0 and np.signbit(cache[0][1][0].g[0, 0])  # i = +0, g = -1
         assert z.tobytes() == full_step_forward(enc, X)[0].tobytes()
         assert not np.signbit(z[0, 0])
 

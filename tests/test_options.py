@@ -4,12 +4,15 @@ same values as the hand-written ones they replaced."""
 import dataclasses
 import math
 import re
+import sys
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gboc import cli, model_io, tsdata
+from gboc import cli, model_io, options, tsdata
 from gboc.errors import BadParams
 from gboc.trainer import TrainConfig
 from oracles import reference_synth_params_check, reference_train_config_check
@@ -59,9 +62,11 @@ def test_checks_accept_what_the_hand_written_checks_accepted(cls):
     # the two agree on every integer and on every value of a float field. A
     # float in an integer field, which neither the CLI nor a model file gives,
     # is now rejected wherever the reference let it through (nan failed every
-    # comparison it made, and 0.5, 1.0 and 1.5 passed its range tests)
+    # comparison it made, and 0.5, 1.0 and 1.5 passed its range tests), and
+    # so is every number in a switch field, which the reference never checked
     int_fields = {f.name for f in dataclasses.fields(cls) if f.metadata["kind"].type is int}
-    assert all(name in int_fields and isinstance(value, float) and new is not None
+    switches = {f.name for f in dataclasses.fields(cls) if f.metadata["kind"].type is bool}
+    assert all((name in int_fields and isinstance(value, float) or name in switches) and new is not None
                for name, value, new in differ), differ
     assert not misnamed, misnamed
 
@@ -85,3 +90,71 @@ def test_the_first_bad_field_is_named(cls):
     fields = [f.name for f in dataclasses.fields(cls) if f.metadata["kind"].type is not bool]
     with pytest.raises(BadParams, match=f"^{fields[0]} must be "):
         cls(**{name: -1 for name in fields})
+
+
+TINY, BIG = 5e-324, sys.float_info.max  # the least positive and the largest float64
+
+
+def _reals(lo, hi):
+    """Python floats, NumPy float64s and Python ints in [lo, hi]."""
+    floats = st.floats(lo, hi)
+    ints = st.integers(math.ceil(lo), min(math.floor(hi), 2**53))
+    return st.one_of(floats, floats.map(np.float64), ints)
+
+
+# per kind: values inside its range, its edges, and values just outside it
+# (an integer past the largest float64 does not fit a float kind's f64 slot)
+RANGES = {
+    options.COUNT: (st.integers(1, 2**32 - 1), [1, 2**32 - 1], [0, 2**32]),
+    options.LAYERS: (st.sampled_from([1, 2, 3]), [1, 3], [0, 4]),
+    options.SEED: (st.integers(0, 2**64 - 1), [0, 2**64 - 1], [-1, 2**64]),
+    options.AT_LEAST_0: (st.integers(min_value=0), [0], [-1]),
+    options.AT_LEAST_1: (st.integers(min_value=1), [1], [0]),
+    options.POSITIVE: (_reals(TINY, BIG), [TINY, BIG], [0.0, -0.0, -TINY, math.inf, math.nan, 2**1024]),
+    options.NONNEGATIVE: (_reals(0.0, BIG), [0.0, -0.0, BIG], [-TINY, math.inf, math.nan, 2**1024]),
+    options.FRACTION: (_reals(0.0, 1.0), [0.0, -0.0, 1.0], [-TINY, math.nextafter(1.0, 2.0), math.nan]),
+    options.SWITCH: (st.sampled_from([False, True, np.False_, np.True_]), [False, True], [0, 1]),
+}
+FIELDS = [(cls, f.name, f.metadata["kind"]) for cls in COMMANDS for f in dataclasses.fields(cls)]
+each_field = pytest.mark.parametrize("cls, name, kind", FIELDS, ids=[f"{COMMANDS[c]}.{n}" for c, n, _ in FIELDS])
+
+
+def _wrong_type(kind):
+    """Values of a type the kind does not take: None and strings for every
+    kind, bools for the numeric kinds and numbers for the switches."""
+    if kind is options.SWITCH:
+        other = st.one_of(st.integers(), st.floats())
+    else:
+        other = st.sampled_from([False, True, np.False_, np.True_])
+    return st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["1e-3", "1", "no"]), other)
+
+
+@each_field
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_values_in_range_and_at_its_edges_are_accepted(cls, name, kind, data):
+    inside, edges, _ = RANGES[kind]
+    value = data.draw(st.one_of(inside, st.sampled_from(edges)))
+    assert getattr(cls(**{name: value}), name) is value
+
+
+@each_field
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_values_outside_the_range_or_of_another_type_are_rejected(cls, name, kind, data):
+    _, _, outside = RANGES[kind]
+    value = data.draw(st.one_of(_wrong_type(kind), st.sampled_from(outside)))
+    with pytest.raises(BadParams, match=f"^{name} must be "):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(lr="1e-3"),
+    lambda: TrainConfig(lam=None),
+    lambda: TrainConfig(lr=True),
+    lambda: tsdata.SynthParams(spike_mag=True),
+    lambda: TrainConfig(gbc_off="no"),
+], ids=["lr_str", "lam_none", "lr_bool", "spike_mag_bool", "gbc_off_str"])
+def test_a_value_of_the_wrong_type_is_bad_params(make):
+    with pytest.raises(BadParams, match="^(lr|lam|spike_mag|gbc_off) must be "):
+        make()
