@@ -20,6 +20,12 @@ distances bit for bit, whatever the BLAS, its thread count or the blocking.
 A row block holds at most _ROW_BLOCK (row, center) or (row, coordinate)
 entries, so a query of N rows needs O(N) memory for its answers plus a fixed
 workspace, however many centers it ranks.
+
+Every squared distance between two points, in that exact ranking, k-means++
+seeding, empty-cluster reseeding, nearest_centers' winner distances and a
+ball's member distances, comes from the one kernel _sq_dist. So a ball's
+radius is bit for bit the largest distance nearest_centers reports for its
+members from its center, and its sum_dist is the sum of those distances.
 """
 from __future__ import annotations
 
@@ -47,10 +53,16 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance over the last axis between a and b, as
+    broadcast against each other: the module's one squared-distance formula."""
+    diff = a - b
+    return np.einsum("...d,...d->...", diff, diff)
+
+
 def _broadcast_argmin(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Argmin over the exact broadcast squared distances (ties -> lowest index)."""
-    diff = X[:, None, :] - centers[None, :, :]
-    return np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+    return np.argmin(_sq_dist(X[:, None, :], centers), axis=1)
 
 
 def _row_blocks(n: int, per_row: int):
@@ -107,7 +119,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     centers[0] = X[int(rng.integers(n))]
     d2 = np.full(n, np.inf)
     for j in range(1, k):
-        d2 = np.minimum(d2, np.sum((X - centers[j - 1]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist(X, centers[j - 1]))
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
@@ -127,7 +139,7 @@ def _reseed_empty(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.
     centroid: then every point does, so no empty cluster can be fixed."""
     counts = np.bincount(assign, minlength=centers.shape[0])
     for c in np.where(counts == 0)[0]:
-        own = np.sum((X - centers[assign]) ** 2, axis=1)
+        own = _sq_dist(X, centers[assign])
         far = int(np.argmax(own))
         if own[far] <= 0.0:
             break
@@ -185,7 +197,7 @@ class GranularBall:
             raise EmptyBall("a granular-ball needs at least one member")
         pts = latents[idx]
         center = pts.mean(axis=0)
-        dists = np.sqrt(np.sum((pts - center) ** 2, axis=1))
+        dists = np.sqrt(_sq_dist(pts, center))
         return cls(center=center, radius=float(dists.max()), member_indices=idx, sum_dist=float(dists.sum()))
 
     @property
@@ -328,9 +340,9 @@ def nearest_center(centers: np.ndarray, z: np.ndarray) -> tuple[int, float]:
 def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest_center over rows of Z; returns (indices, distances).
 
-    The winner's distance is recomputed from its own difference vector, one
-    row block at a time, which gives the same bits as the exact broadcast
-    value."""
+    The winner's distance is recomputed by _sq_dist from its own difference
+    vector, one row block at a time, which gives the same bits as the exact
+    broadcast value."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise EmptySet("no centers to search")
@@ -338,8 +350,7 @@ def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.
     idx = _nearest(Z, centers)
     dists = np.empty(Z.shape[0])
     for block in _row_blocks(Z.shape[0], Z.shape[1]):
-        diff = Z[block] - centers[idx[block]]
-        dists[block] = np.einsum("nd,nd->n", diff, diff)
+        dists[block] = _sq_dist(Z[block], centers[idx[block]])
     return idx, np.sqrt(dists, out=dists)
 
 

@@ -58,10 +58,14 @@ def option(default, kind, flag: str | None = None, help: str | None = None):
 
 class Options:
     """Base of an options dataclass: construction raises BadParams naming
-    the first field, in declaration order, whose kind rejects its value."""
+    the first field, in declaration order, whose kind rejects its value, and
+    stores a float kind's value as a Python float (a Fraction or an int would
+    otherwise reach NumPy as an object or an integer)."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             kind, value = f.metadata["kind"], getattr(self, f.name)
             if not kind.accepts(value):
                 raise BadParams(f"{f.name} must be {kind.text}, got {value!r}")
+            if kind.type is float:
+                object.__setattr__(self, f.name, float(value))

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_curve, read_report, run_cli_pipeline
-from gboc import cli, model_io, scoring, tsdata
+from gboc import cli, model_io, options, scoring, tsdata
 from gboc.trainer import TrainConfig
+from test_options import COMMANDS, RANGES
 
 
 @pytest.fixture(scope="module")
@@ -715,6 +718,73 @@ def test_one_odd_flag_value_exits_cleanly(t200_pipeline, tmp_path, capsys, monke
             if not (rc == 0 or (rc == 1 and err.startswith("error:")) or usage_error) or "Traceback" in err:
                 failures.append(f"{flag} {odd!r}: exit {rc}, stderr {err[-300:]!r}")
     assert not failures, "\n".join(failures)
+
+
+# accepted values of the fields that scale a run's work, drawn small; their
+# upper edges are checked by construction in test_options.py
+SMALL = {"window": st.integers(1, 8), "hidden": st.integers(1, 8), "decoder_hidden": st.integers(1, 8),
+         "epochs": st.integers(1, 2), "batch_size": st.integers(1, 64), "n_channels": st.integers(1, 3)}
+CLI_FIELDS = [(COMMANDS[cls], f) for cls in COMMANDS for f in dataclasses.fields(cls)]
+
+
+def _converts(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command, field", CLI_FIELDS, ids=[f"{c}.{f.name}" for c, f in CLI_FIELDS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_drawn_option_value_through_the_cli(t200_pipeline, tmp_path, capsys, command, field, data):
+    # a value the kind rejects is one "error: <field> must be" line and no
+    # file; one it accepts reaches its field or ends in one error: line; text
+    # that is no number of the kind's type is argparse's usage error
+    kind, out = field.metadata["kind"], Path(tempfile.mkdtemp(dir=tmp_path))
+    flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
+    if command == "train":
+        argv = ["train", "--train-csv", str(t200_pipeline["data"] / "train.csv"), "--label-col", "label",
+                "--model", str(out / "m.gboc"), "--out", str(out / "curve.csv"), "--epochs", "1", "--quiet"]
+    else:
+        argv = ["synth", "--kind", "drift_noise", "--length", "200", "--out", str(out / "data")]
+    inside, edges, outside = RANGES[kind]
+    case = "switch" if kind is options.SWITCH else data.draw(st.sampled_from(["inside", "outside", "text"]))
+    if case == "switch":
+        value = data.draw(st.booleans())
+        argv += [flag] if value else []
+    elif case == "text":
+        # not "--": argparse on Python 3.11 reads --flag=-- as an empty list,
+        # which reaches the kind and is rejected with exit 1
+        noise = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+        text = data.draw(st.one_of(st.sampled_from(["x", "", "1e-3x", "1.5", "2.0"]), noise)
+                         .filter(lambda t: t != "--" and not _converts(kind.type, t)))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"{flag}={text}"])
+        assert exc.value.code == 2
+        return
+    else:
+        small = SMALL.get(field.name, st.one_of(inside, st.sampled_from(edges)))
+        text = str(data.draw(small if case == "inside" else st.sampled_from(outside)))
+        value = kind.type(text)
+        argv.append(f"{flag}={text}")
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert not any("Traceback" in line for line in err), err
+    if not kind.accepts(value):
+        assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {field.name} must be "), (rc, err)
+        assert not any(out.iterdir())
+    elif rc == 1:
+        assert len(err) == 1 and err[0].startswith("error:"), err
+    else:
+        assert rc == 0, (rc, err)
+        if command == "train":
+            assert getattr(model_io.load_model(out / "m.gboc").config, field.name) == value
+        else:
+            assert tsdata.load_csv(out / "data" / "test.csv", label_column="label").values.shape[0] == 200
+
 
 class TestSynth:
     def test_writes_both_files_with_labels(self, tmp_path, capsys):

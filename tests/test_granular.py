@@ -223,6 +223,21 @@ class TestGenerate:
         assert np.array_equal(union, np.arange(n))
         assert len(gset.balls) <= n
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([1, 3, 16, 64]),
+           st.integers(-3, 3), st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_radius_is_the_largest_distance_nearest_centers_reports(self, seed, n, d, exponent, offset):
+        # bitwise: a ball's radius and sum_dist come from the distances that
+        # scoring reports for its members, not from a second formula
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        latents = offset * scale + scale * rng.normal(size=(n, d))
+        balls = granular.generate(latents, s_min=4, seed=seed).balls + granular.kmeans_balls(latents, seed)[0]
+        for ball in balls:
+            _, dists = granular.nearest_centers(ball.center[None], latents[ball.member_indices])
+            assert ball.radius == dists.max()
+            assert ball.sum_dist == float(dists.sum())
+
 
 def _degenerate_cloud(kind: str) -> np.ndarray:
     rng = np.random.default_rng(29)

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gboc import cli, model_io, options, tsdata
 from gboc.errors import BadParams
-from gboc.trainer import TrainConfig
+from gboc.trainer import TrainConfig, train
 from oracles import reference_synth_params_check, reference_train_config_check
 
 COMMANDS = {TrainConfig: "train", tsdata.SynthParams: "synth"}
@@ -135,7 +136,11 @@ def _wrong_type(kind):
 def test_values_in_range_and_at_its_edges_are_accepted(cls, name, kind, data):
     inside, edges, _ = RANGES[kind]
     value = data.draw(st.one_of(inside, st.sampled_from(edges)))
-    assert getattr(cls(**{name: value}), name) is value
+    stored = getattr(cls(**{name: value}), name)
+    if kind.type is float:  # a float kind stores the Python float of the value
+        assert type(stored) is float and stored == value
+    else:
+        assert stored is value
 
 
 @each_field
@@ -158,3 +163,12 @@ def test_values_outside_the_range_or_of_another_type_are_rejected(cls, name, kin
 def test_a_value_of_the_wrong_type_is_bad_params(make):
     with pytest.raises(BadParams, match="^(lr|lam|spike_mag|gbc_off) must be "):
         make()
+
+
+def test_a_fraction_in_a_float_field_trains_synthesizes_and_saves(tmp_path):
+    # a Fraction is a real number the float kinds accept; stored as given it
+    # reached NumPy as an object and ended in a raw UFuncTypeError
+    train_ts, _ = tsdata.synth_scenario("noise", 200, 1, tsdata.SynthParams(noise_std=Fraction(1, 3)))
+    model, _ = train(train_ts, TrainConfig(lr=Fraction(1, 1000), epochs=1, hidden=4))
+    model_io.save_model(model, tmp_path / "m.gboc")
+    assert model_io.load_model(tmp_path / "m.gboc").config == TrainConfig(lr=0.001, epochs=1, hidden=4)
