@@ -251,11 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect(sub)
     _add_eval(sub)
     _add_dump_balls(sub)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse on Python 3.11 reads --flag=-- as an empty list and skips the flag's type
+    for action in args.parser._actions:
+        if isinstance(getattr(args, action.dest, None), list):
+            args.parser.error(f"argument {action.option_strings[0]}: expected one argument")
     try:
         return args.func(args)
     except (GbocError, OSError, MemoryError) as exc:

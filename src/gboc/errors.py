@@ -1,7 +1,9 @@
 """Exception classes shared across the package.
 
 Every error the library raises deliberately derives from GbocError so
-callers (and the CLI) can distinguish expected failures from bugs.
+callers (and the CLI) can distinguish expected failures from bugs. A class
+exists for each failure a caller can act on differently; the message says
+what went wrong.
 """
 
 
@@ -10,77 +12,43 @@ class GbocError(Exception):
 
 
 class MissingFile(GbocError):
-    pass
+    """An input file, or an output file's directory, does not exist."""
 
 
 class ParseError(GbocError):
+    """A file or a series is malformed. row and col name the bad cell where
+    known: a file's data rows count from 1 and its header is row 0; a
+    TimeSeries built in code counts from 0."""
+
     def __init__(self, message: str, row: int | None = None, col: str | None = None):
         super().__init__(message)
         self.row = row
         self.col = col
 
 
-class NonBinaryLabel(GbocError):
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
-class DegenerateSeries(GbocError):
-    pass
-
-
-class WindowTooLong(GbocError):
-    pass
-
-
 class BadParams(GbocError):
-    pass
-
-
-class ShapeMismatch(GbocError):
-    pass
-
-
-class EmptyBall(GbocError):
-    pass
-
-
-class EmptySet(GbocError):
-    pass
-
-
-class DegenerateRange(GbocError):
-    pass
+    """An argument, or the data it is given, is out of range: fix the call."""
 
 
 class NonFiniteLoss(GbocError):
-    pass
-
-
-class NoAnomalies(GbocError):
-    pass
-
-
-class DegenerateLabels(GbocError):
-    pass
+    """Training diverged; lower the learning rate or rescale the series."""
 
 
 class ModelMismatch(GbocError):
-    pass
+    """A series does not fit the model it is scored with."""
 
 
 class BadMagic(GbocError):
-    pass
+    """Not a model file."""
 
 
 class VersionUnsupported(GbocError):
-    pass
+    """A model file of a format version this package does not read."""
 
 
 class TruncatedFile(GbocError):
-    pass
+    """A model file that ends before its payload does."""
 
 
 class InvariantViolation(GbocError):
-    pass
+    """A model file, or a model being saved, whose contents are invalid."""

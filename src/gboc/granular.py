@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DegenerateRange, EmptyBall, EmptySet
+from .errors import BadParams
 
 KMEANS_MAX_ITER = 100
 
@@ -194,7 +194,7 @@ class GranularBall:
     def from_members(cls, latents: np.ndarray, member_indices: np.ndarray) -> "GranularBall":
         idx = np.asarray(member_indices, dtype=np.int64)
         if idx.size == 0:
-            raise EmptyBall("a granular-ball needs at least one member")
+            raise BadParams("a granular-ball needs at least one member")
         pts = latents[idx]
         center = pts.mean(axis=0)
         dists = np.sqrt(_sq_dist(pts, center))
@@ -208,7 +208,7 @@ class GranularBall:
 def dm(ball: GranularBall) -> float:
     """Density measure: summed member distance over member count (lower is denser)."""
     if ball.size == 0:
-        raise EmptyBall("density measure of an empty ball is undefined")
+        raise BadParams("density measure of an empty ball is undefined")
     return ball.sum_dist / ball.size
 
 
@@ -264,7 +264,7 @@ class GbSet:
     @property
     def centers(self) -> np.ndarray:
         if not self.balls:
-            raise EmptySet("ball set is empty")
+            raise BadParams("ball set is empty")
         return np.stack([b.center for b in self.balls])
 
     @property
@@ -278,7 +278,7 @@ def kmeans_balls(latents: np.ndarray, seed: int) -> tuple[list[GranularBall], np
     sweep continues that stream."""
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] < 1:
-        raise EmptySet("need at least one latent vector")
+        raise BadParams("need at least one latent vector")
     rng = np.random.default_rng([seed, 0x6B])
     k = max(1, math.isqrt(latents.shape[0]))
     _, assign = kmeans(latents, k, rng)
@@ -322,7 +322,7 @@ def prune(gb_set: GbSet, mu: float = 2.0) -> GbSet:
     if not (math.isfinite(mu) and mu > 0.0):
         raise BadParams(f"prune needs a finite mu > 0, got {mu}")
     if not gb_set.balls:
-        raise EmptySet("cannot prune an empty ball set")
+        raise BadParams("cannot prune an empty ball set")
     radii = gb_set.radii
     r_th = mu * max(float(np.median(radii)), float(radii.mean()))
     kept = [b for b in gb_set.balls if b.radius <= r_th]
@@ -345,7 +345,7 @@ def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.
     broadcast value."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
-        raise EmptySet("no centers to search")
+        raise BadParams("no centers to search")
     Z = np.asarray(Z, dtype=np.float64)
     idx = _nearest(Z, centers)
     dists = np.empty(Z.shape[0])
@@ -363,6 +363,6 @@ def coverage_rate(latents: np.ndarray, centers: np.ndarray) -> float:
     latents = np.asarray(latents, dtype=np.float64)
     value_range = float(latents.max() - latents.min())
     if value_range <= 0.0:
-        raise DegenerateRange("latent values span a zero range")
+        raise BadParams("latent values span a zero range")
     _, dists = nearest_centers(centers, latents)
     return 100.0 * (1.0 - float(dists.mean()) / value_range)

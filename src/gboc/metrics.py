@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DegenerateLabels, NoAnomalies
+from .errors import BadParams
 
 DEFAULT_DELTA_SET = (0, 1, 2, 3, 4)
 
@@ -76,7 +76,7 @@ def _delta_areas(scores: np.ndarray, labels: np.ndarray, delta_set) -> list[tupl
     n_anom = int(labels.sum())
     n_norm = labels.size - n_anom
     if n_anom == 0:
-        raise NoAnomalies("labels contain no anomaly")
+        raise BadParams("labels contain no anomaly")
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
     group_ends = np.append(np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1)
@@ -106,7 +106,7 @@ def vus_roc(scores: np.ndarray, labels: np.ndarray, delta_set=DEFAULT_DELTA_SET)
     """Tolerant area under the ROC curve, averaged over deltas."""
     scores, labels = _check_series(scores, labels)
     if labels.sum() in (0, labels.size):
-        raise DegenerateLabels("need at least one anomaly and one normal point")
+        raise BadParams("need at least one anomaly and one normal point")
     return float(np.mean([roc for _, roc in _delta_areas(scores, labels, delta_set)]))
 
 
@@ -186,7 +186,7 @@ def evaluate(
     _kernel_denominator(sigma)
     areas = _delta_areas(point_scores, labels, delta_set)
     if np.all(labels):
-        raise DegenerateLabels("need at least one anomaly and one normal point")
+        raise BadParams("need at least one anomaly and one normal point")
     rows = tuple(
         DeltaRow(delta=int(delta), auc_pr=pr, auc_roc=roc) for delta, (pr, roc) in zip(delta_set, areas)
     )

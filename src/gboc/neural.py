@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import granular
-from .errors import BadParams, NonFiniteLoss, ShapeMismatch
+from .errors import BadParams, NonFiniteLoss
 
 
 # encode_batch's block size: a block of ENCODE_BLOCK to 2 * ENCODE_BLOCK - 1
@@ -200,7 +200,7 @@ def _forward_encoder(
     before it is written, and the latents returned are ws's."""
     B, w, d = X.shape
     if d != enc.input_size:
-        raise ShapeMismatch(f"window has {d} channels, encoder expects {enc.input_size}")
+        raise BadParams(f"window has {d} channels, encoder expects {enc.input_size}")
     h = enc.hidden_size
     top = enc.num_layers - 1
     z = np.empty((B, enc.latent_size)) if ws is None else ws.z[:B]
@@ -339,7 +339,7 @@ def backward(
     Y = np.asarray(targets, dtype=np.float64)
     B = X.shape[0]
     if Y.shape != (B, dec.output_size):
-        raise ShapeMismatch(f"targets shape {Y.shape} does not match decoder output ({B}, {dec.output_size})")
+        raise BadParams(f"targets shape {Y.shape} does not match decoder output ({B}, {dec.output_size})")
 
     z, cache = _forward_encoder(enc, X)
     if assignment is None:
@@ -400,7 +400,7 @@ def opt_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     Every product keeps the operands and order of that formula written with
     fresh arrays, up to commuting, so the bits are the same."""
     if grad.shape != params.shape:
-        raise ShapeMismatch(f"gradient shape {grad.shape} does not match parameters {params.shape}")
+        raise BadParams(f"gradient shape {grad.shape} does not match parameters {params.shape}")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step

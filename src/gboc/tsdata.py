@@ -13,16 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    DegenerateSeries,
-    MissingFile,
-    ModelMismatch,
-    NonBinaryLabel,
-    ParseError,
-    WindowTooLong,
-)
-from .options import AT_LEAST_0, AT_LEAST_1, COUNT, NONNEGATIVE, POSITIVE, Options, option
+from .errors import BadParams, MissingFile, ModelMismatch, ParseError
+from .options import AT_LEAST_0, AT_LEAST_1, COUNT, NONNEGATIVE, POSITIVE, Options, _integer, option
 
 EPS_STD = 1e-8
 
@@ -50,7 +42,7 @@ class TimeSeries:
                 raise BadParams(f"labels must have length T={values.shape[0]}, got shape {labels.shape}")
             bad = np.where((labels != 0) & (labels != 1))[0]
             if bad.size:
-                raise NonBinaryLabel(f"label at row {bad[0]} is not 0/1", row=int(bad[0]))
+                raise ParseError(f"label at row {bad[0]} is not 0/1", row=int(bad[0]))
             object.__setattr__(self, "labels", labels)
         if not self.channel_names:
             object.__setattr__(self, "channel_names", [f"v{i}" for i in range(values.shape[1])])
@@ -221,7 +213,7 @@ def _walk_rows(
                 lv = None
             if lv not in (0.0, 1.0):
                 msg = f"row {rnum}, column {header[label_idx]!r}: label {raw!r} is not 0/1"
-                raise NonBinaryLabel(msg, row=rnum)
+                raise ParseError(msg, row=rnum, col=header[label_idx])
             labels.append(lv)
     return np.array(rows, dtype=np.float64), None if label_idx is None else np.array(labels)
 
@@ -251,12 +243,12 @@ def save_csv(ts: TimeSeries, path: str | Path) -> None:
 def fit_normalizer(train: TimeSeries) -> NormStats:
     """Per-channel mean and sample (n-1) std of the training split."""
     if train.T < 2:
-        raise DegenerateSeries(f"need at least 2 timesteps to fit a normalizer, got T={train.T}")
+        raise BadParams(f"need at least 2 timesteps to fit a normalizer, got T={train.T}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train.values.mean(axis=0)
         std = train.values.std(axis=0, ddof=1)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
-        raise DegenerateSeries("the training series' mean or std overflows float64; rescale it")
+        raise BadParams("the training series' mean or std overflows float64; rescale it")
     std = np.maximum(std, EPS_STD)
     return NormStats(mean=mean, std=std)
 
@@ -280,7 +272,7 @@ def make_windows(values: np.ndarray, w: int, stride: int) -> np.ndarray:
     if w < 1 or stride < 1:
         raise BadParams("window length and stride must be positive")
     if w > len(values):
-        raise WindowTooLong(f"window length {w} exceeds series length {len(values)}")
+        raise BadParams(f"window length {w} exceeds series length {len(values)}")
     return np.array(np.lib.stride_tricks.sliding_window_view(values, (w, values.shape[1]))[::stride, 0])
 
 
@@ -332,6 +324,9 @@ def synth_scenario(
     """
     if kind not in SCENARIO_KINDS:
         raise BadParams(f"unknown scenario kind {kind!r}, expected one of {SCENARIO_KINDS}")
+    for name, value in (("T", T), ("seed", seed)):
+        if not _integer(lambda v: True)(value):
+            raise BadParams(f"{name} must be an integer, got {value!r}")
     if not 200 <= T < 2**32:
         raise BadParams(f"T must be in [200, 2**32), got {T}")
     if not 0 <= seed < 2**64:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from gboc import granular, neural, tsdata
-from gboc.errors import BadParams, MissingFile, NonBinaryLabel, ParseError, ShapeMismatch
+from gboc.errors import BadParams, MissingFile, ParseError
 
 
 def naive_encode(enc: neural.EncoderParams, window: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def decode_batch(dec: neural.DecoderParams, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     latent_size = dec.W1.shape[1]
     if Z.shape[1] != latent_size:
-        raise ShapeMismatch(f"latent size {Z.shape[1]} does not match decoder ({latent_size})")
+        raise BadParams(f"latent size {Z.shape[1]} does not match decoder ({latent_size})")
     return np.tanh(Z @ dec.W1.T + dec.b1) @ dec.W2.T + dec.b2
 
 
@@ -416,7 +416,8 @@ def row_walk_load_csv(path, label_column: str | None = None) -> tsdata.TimeSerie
             except ValueError:
                 lv = None
             if lv not in (0.0, 1.0):
-                raise NonBinaryLabel(f"row {rnum}, column {label_column!r}: label {raw!r} is not 0/1", row=rnum)
+                msg = f"row {rnum}, column {label_column!r}: label {raw!r} is not 0/1"
+                raise ParseError(msg, row=rnum, col=label_column)
             labels.append(int(lv))
     if not rows:
         raise ParseError("file has a header but no data rows")

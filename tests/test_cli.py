@@ -720,6 +720,25 @@ def test_one_odd_flag_value_exits_cleanly(t200_pipeline, tmp_path, capsys, monke
     assert not failures, "\n".join(failures)
 
 
+VALUE_FLAGS = [(command, action.option_strings[0])
+               for command, p in cli.build_parser()._subparsers._group_actions[0].choices.items()
+               for action in p._actions if action.option_strings and action.nargs is None]
+
+
+@pytest.mark.parametrize("command, flag", VALUE_FLAGS, ids=[f"{c}{f}" for c, f in VALUE_FLAGS])
+def test_a_flag_given_as_dashdash_is_a_usage_error(t200_pipeline, tmp_path, capsys, monkeypatch, command, flag):
+    # argparse on Python 3.11 reads --flag=-- as an empty list, past the
+    # flag's type and choices; the rest of the argv is valid
+    monkeypatch.chdir(tmp_path)
+    flags = {f: value for f, value in _valid_argv(command, t200_pipeline).items() if f != flag}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*_join(command, flags), f"{flag}=--"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:"), err
+    assert err.endswith(f"error: argument {flag}: expected one argument\n"), err
+    assert not any(tmp_path.iterdir())
+
+
 # accepted values of the fields that scale a run's work, drawn small; their
 # upper edges are checked by construction in test_options.py
 SMALL = {"window": st.integers(1, 8), "hidden": st.integers(1, 8), "decoder_hidden": st.integers(1, 8),
@@ -755,11 +774,9 @@ def test_one_drawn_option_value_through_the_cli(t200_pipeline, tmp_path, capsys,
         value = data.draw(st.booleans())
         argv += [flag] if value else []
     elif case == "text":
-        # not "--": argparse on Python 3.11 reads --flag=-- as an empty list,
-        # which reaches the kind and is rejected with exit 1
         noise = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
-        text = data.draw(st.one_of(st.sampled_from(["x", "", "1e-3x", "1.5", "2.0"]), noise)
-                         .filter(lambda t: t != "--" and not _converts(kind.type, t)))
+        text = data.draw(st.one_of(st.sampled_from(["x", "", "--", "1e-3x", "1.5", "2.0"]), noise)
+                         .filter(lambda t: not _converts(kind.type, t)))
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, f"{flag}={text}"])
         assert exc.value.code == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gboc import granular, neural
-from gboc.errors import BadParams, ShapeMismatch
+from gboc.errors import BadParams
 from oracles import (
     DictAdam,
     decode_batch,
@@ -65,7 +65,7 @@ class TestEncode:
 
     def test_shape_mismatch(self):
         enc = neural.init_encoder(2, 4, 1, np.random.default_rng(5))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadParams, match="^window has 5 channels, encoder expects 2"):
             neural.encode_batch(enc, np.zeros((3, 5))[None])
 
     def test_batch_agrees_with_single(self):
@@ -225,7 +225,7 @@ class TestDecode:
     def test_shape_mismatch(self):
         enc, X, _, Y, assignment, centers = decoder_only_batch(10, out=3)
         dec = neural.init_decoder(5, 4, 8, np.random.default_rng(9))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadParams, match="^targets shape"):
             neural.backward(enc, dec, X, Y, centers, assignment, 0.5)
 
 
@@ -344,7 +344,7 @@ class TestAdam:
     def test_gradient_shape_mismatch(self):
         p = np.zeros(4)
         state = neural.init_adam(p, lr=1e-4)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(BadParams, match="^gradient shape"):
             neural.opt_step(state, p, np.zeros(5))
         assert state.step == 0
 

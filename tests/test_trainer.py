@@ -11,7 +11,7 @@ from conftest import read_curve
 from oracles import decode_batch
 import gboc
 from gboc import cli, granular, model_io, neural, trainer, tsdata
-from gboc.errors import EmptySet, NonFiniteLoss, WindowTooLong
+from gboc.errors import BadParams, NonFiniteLoss
 
 
 def tiny_series(T=160, seed=0) -> tsdata.TimeSeries:
@@ -64,7 +64,7 @@ class TestLosses:
 
     def test_lgb_empty_set(self):
         # training reads its alignment targets from GbSet.centers
-        with pytest.raises(EmptySet):
+        with pytest.raises(BadParams, match="^ball set is empty"):
             granular.GbSet(balls=[]).centers
 
     def test_lrec_perfect(self):
@@ -204,7 +204,7 @@ class TestTrain:
     def test_series_shorter_than_window(self):
         # make_windows owns the rule, so train and detect reject it alike
         ts = tsdata.TimeSeries(values=np.zeros((3, 1)))
-        with pytest.raises(WindowTooLong):
+        with pytest.raises(BadParams, match="^window length 5 exceeds series length 3"):
             trainer.train(ts, tiny_config(window=5))
 
     def test_divergence_raises_nonfinite_loss(self):

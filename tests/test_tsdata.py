@@ -7,15 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gboc import tsdata
-from gboc.errors import (
-    BadParams,
-    DegenerateSeries,
-    MissingFile,
-    ModelMismatch,
-    NonBinaryLabel,
-    ParseError,
-    WindowTooLong,
-)
+from gboc.errors import BadParams, MissingFile, ModelMismatch, ParseError
 from oracles import csv_writer_write, row_walk_load_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -77,9 +69,9 @@ class TestLoadCsv:
 
     def test_nonbinary_label(self, tmp_path):
         p = write(tmp_path / "a.csv", "v,label\n0.1,2\n")
-        with pytest.raises(NonBinaryLabel) as exc:
+        with pytest.raises(ParseError, match="^row 1, column 'label': label '2' is not 0/1") as exc:
             tsdata.load_csv(p, label_column="label")
-        assert exc.value.row == 1
+        assert exc.value.row == 1 and exc.value.col == "label"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -288,14 +280,14 @@ class TestNormalizer:
 
     def test_degenerate_series(self):
         ts = tsdata.TimeSeries(values=np.array([[1.0]]))
-        with pytest.raises(DegenerateSeries):
+        with pytest.raises(BadParams, match="^need at least 2 timesteps to fit a normalizer"):
             tsdata.fit_normalizer(ts)
 
     def test_overflow_is_its_own_error_not_a_parse_error(self):
         # every value is finite; the mean's sum, and the values normalized by
         # a training std below 1, overflow float64
         huge = tsdata.TimeSeries(values=np.tile([1.7e308, -1.7e308], 150))
-        with pytest.raises(DegenerateSeries, match="overflows float64"):
+        with pytest.raises(BadParams, match="^the training series' mean or std overflows float64"):
             tsdata.fit_normalizer(huge)
         stats = tsdata.fit_normalizer(tsdata.TimeSeries(values=np.array([0.0, 0.1])))
         with pytest.raises(ModelMismatch, match="far outside the training range"):
@@ -330,7 +322,7 @@ class TestMakeWindows:
         assert np.array_equal(windows[1, :, 0], np.arange(3.0, 7.0))
 
     def test_window_too_long(self):
-        with pytest.raises(WindowTooLong):
+        with pytest.raises(BadParams, match="^window length 5 exceeds series length 4"):
             tsdata.make_windows(np.arange(4.0).reshape(-1, 1), 5, 1)
 
     def test_flattening_is_timestep_major(self):
@@ -415,6 +407,17 @@ class TestSynthScenario:
     def test_seed_out_of_range_rejected(self, seed):
         with pytest.raises(BadParams, match="seed"):
             tsdata.synth_scenario("clean", 300, seed)
+
+    @pytest.mark.parametrize("T, seed, name", [(2000.5, 1, "T"), (2000, 1.5, "seed"), (2000, "1", "seed"),
+                                               (True, 1, "T"), (2000, np.float64(1.0), "seed")])
+    def test_length_and_seed_must_be_integers(self, T, seed, name):
+        with pytest.raises(BadParams, match=f"^{name} must be an integer"):
+            tsdata.synth_scenario("clean", T, seed)
+
+    def test_numpy_integer_length_and_seed_accepted(self):
+        a = tsdata.synth_scenario("clean", np.int64(300), np.uint64(7))
+        b = tsdata.synth_scenario("clean", 300, 7)
+        assert np.array_equal(a[1].values, b[1].values)
 
     def test_shift_longer_than_its_room_rejected(self):
         with pytest.raises(BadParams, match="does not fit"):
