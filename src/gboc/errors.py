@@ -17,8 +17,8 @@ class MissingFile(GbocError):
 
 class ParseError(GbocError):
     """A file or a series is malformed. row and col name the bad cell where
-    known: a file's data rows count from 1 and its header is row 0; a
-    TimeSeries built in code counts from 0."""
+    known: data rows count from 1, in a file and in a TimeSeries built in
+    code alike, and a file's header is row 0."""
 
     def __init__(self, message: str, row: int | None = None, col: str | None = None):
         super().__init__(message)

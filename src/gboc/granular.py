@@ -343,6 +343,11 @@ def nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.
     The winner's distance is recomputed by _sq_dist from its own difference
     vector, one row block at a time, which gives the same bits as the exact
     broadcast value."""
+    return _nearest_centers(centers, Z)
+
+
+def _nearest_centers(centers: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_centers, hidden from span tracers for neural._for_each_block's worker."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise BadParams("no centers to search")

@@ -18,8 +18,12 @@ input, forget, cell candidate, output.
 """
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,34 +244,79 @@ def _forward_encoder(
     return z, cache
 
 
-def encode_blocks(enc: EncoderParams, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Latents of a batch of windows shaped (B, w, d), one block of rows at a time.
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """NumPy's OpenBLAS thread-count getter and setter; None under MKL or Accelerate."""
+    getter, setter = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            return getter((name % "get", lib)), setter((name % "set", lib))
+        except (AttributeError, OSError):  # no such module or symbol
+            pass
+    return None
 
-    Yields (rows, z): the batch rows a block covers and their latents. The
-    batch runs as max(1, B // ENCODE_BLOCK) equal blocks, so a block holds
-    the whole batch or at least ENCODE_BLOCK rows. A block of a few rows
-    would go to BLAS's small-matrix or vector kernels, which round
-    differently from its matrix kernel, and the latents would depend on B.
-    Every block runs in one workspace sized for the largest, so z is
-    overwritten by the next block: use it before asking for the next one.
-    """
+
+_BLAS_THREADS = _blas_threads()
+_TWO_THREADS = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _for_each_block(enc: EncoderParams, X: np.ndarray, fn: Callable[[slice, np.ndarray], None]) -> None:
+    """Call fn(rows, z) per block of a batch of windows shaped (B, w, d) with
+    the batch rows it covers and their latents, which the thread's next
+    block overwrites. The max(1, B // ENCODE_BLOCK) equal blocks hold at
+    least ENCODE_BLOCK rows or the whole batch: the latents of a few rows
+    would come from BLAS kernels that round differently.
+
+    With at least 4 blocks, 2 usable CPUs and a BLAS thread setter, a worker
+    thread runs the first half of the blocks and the caller the rest, with
+    OpenBLAS held to one thread; an overlapping call runs on one thread. So
+    that a span tracer keeps one stack, the worker calls no public function."""
     X = np.asarray(X, dtype=np.float64)
-    n_blocks = max(1, X.shape[0] // ENCODE_BLOCK)
-    ws = _Workspace(enc, -(-X.shape[0] // n_blocks), X.shape[1])
-    start = 0
-    for x_block in np.array_split(X, n_blocks):
-        stop = start + x_block.shape[0]
-        yield slice(start, stop), _forward_encoder(enc, x_block, ws)[0]
-        start = stop
+    parts = np.array_split(X, max(1, X.shape[0] // ENCODE_BLOCK))
+    starts = np.cumsum([0] + [len(p) for p in parts]).tolist()
+
+    def run(first: int, stop: int) -> None:
+        ws = _Workspace(enc, len(parts[0]), X.shape[1])
+        for i in range(first, stop):
+            fn(slice(starts[i], starts[i + 1]), _forward_encoder(enc, parts[i], ws)[0])
+
+    threaded = len(parts) >= 4 and _BLAS_THREADS is not None and _usable_cpus() > 1
+    if not (threaded and _TWO_THREADS.acquire(blocking=False)):
+        return run(0, len(parts))
+    get_threads, set_threads = _BLAS_THREADS
+    blas_threads, errors = get_threads(), []
+
+    def first_half() -> None:
+        try:
+            run(0, len(parts) // 2)
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        set_threads(1)
+        # the worker sees the caller's context variables, errstate among them
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(first_half,))
+        worker.start()
+        try:
+            run(len(parts) // 2, len(parts))
+        finally:
+            worker.join()
+    finally:
+        set_threads(blas_threads)
+        _TWO_THREADS.release()
+    if errors:
+        raise errors[0]
 
 
 def encode_batch(enc: EncoderParams, X: np.ndarray) -> np.ndarray:
     """Latent vectors (B, L*h) for a batch of windows shaped (B, w, d),
-    copied block by block from encode_blocks."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty((X.shape[0], enc.latent_size))
-    for rows, z in encode_blocks(enc, X):
-        out[rows] = z
+    copied block by block from _for_each_block."""
+    out = np.empty((len(X), enc.latent_size))
+    _for_each_block(enc, X, out.__setitem__)
     return out
 
 

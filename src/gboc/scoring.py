@@ -21,19 +21,22 @@ class AnomalyReport:
 def score_windows(model: GbocModel, windows: np.ndarray) -> np.ndarray:
     """Distance from each (w, d) window's latent to the nearest retained center.
 
-    Each block of encode_blocks goes straight to the nearest-center search,
-    and only its distances are kept: no latent array of the whole series is
-    built. A row's nearest center and distance do not depend on the block
-    it is searched in, so the scores equal those of one search over every
-    latent, bit for bit."""
+    Each encoder block goes straight to the nearest-center search, and only
+    its distances are kept: no latent array of the whole series is built. A
+    row's nearest center and distance do not depend on the block it is
+    searched in, so the scores equal those of one search over every latent,
+    bit for bit. The search is granular's private one: see _for_each_block."""
     if windows.shape[1:] != (model.config.window, model.encoder.input_size):
         raise ModelMismatch(
             f"windows are ({windows.shape[1]} x {windows.shape[2]}), model expects "
             f"({model.config.window} x {model.encoder.input_size})"
         )
     dists = np.empty(len(windows))
-    for rows, z in neural.encode_blocks(model.encoder, windows):
-        dists[rows] = granular.nearest_centers(model.centers, z)[1]
+
+    def keep_distances(rows: slice, z: np.ndarray) -> None:
+        dists[rows] = granular._nearest_centers(model.centers, z)[1]
+
+    neural._for_each_block(model.encoder, windows, keep_distances)
     return dists
 
 

@@ -42,7 +42,7 @@ class TimeSeries:
                 raise BadParams(f"labels must have length T={values.shape[0]}, got shape {labels.shape}")
             bad = np.where((labels != 0) & (labels != 1))[0]
             if bad.size:
-                raise ParseError(f"label at row {bad[0]} is not 0/1", row=int(bad[0]))
+                raise ParseError(f"label at row {bad[0] + 1} is not 0/1", row=int(bad[0]) + 1)
             object.__setattr__(self, "labels", labels)
         if not self.channel_names:
             object.__setattr__(self, "channel_names", [f"v{i}" for i in range(values.shape[1])])
@@ -227,9 +227,12 @@ def write_csv(path: str | Path, header: list[str], columns: Iterable[np.ndarray]
     """
     columns = [np.asarray(c) for c in columns]
     row_format = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\r\n"
+    cells = [None] * sum(map(len, columns))  # row-major, for one % call over every row
+    for j, c in enumerate(columns):
+        cells[j :: len(columns)] = c.tolist()
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join([row_format % row for row in zip(*(c.tolist() for c in columns))]))
+        fh.write((row_format * len(columns[0])) % tuple(cells))
 
 
 def save_csv(ts: TimeSeries, path: str | Path) -> None:

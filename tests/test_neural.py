@@ -1,5 +1,8 @@
 import copy
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +104,111 @@ class TestEncode:
         workspace = 2 * BLOCK * (layers * w * h + 8 * 4 * h) * 8
         assert workspace < output
         assert peak < output + workspace
+
+
+TWO_THREADS = neural._BLAS_THREADS is not None and neural._usable_cpus() >= 2
+needs_blas_setter = pytest.mark.skipif(neural._BLAS_THREADS is None, reason="NumPy's BLAS has no thread setter")
+
+
+class TestTwoThreadBlocks:
+    """A batch of at least four encoder blocks runs on two threads."""
+
+    def batch(self, n=5 * BLOCK + 77, seed=23):
+        rng = np.random.default_rng(seed)
+        enc = neural.init_encoder(2, 32, 2, rng)
+        return enc, rng.normal(size=(n, 3, 2))
+
+    def test_bitwise_equal_to_per_block_forward_passes(self):
+        enc, X = self.batch()
+        want = np.concatenate([neural._forward_encoder(enc, x)[0] for x in np.array_split(X, 5)])
+        assert neural.encode_batch(enc, X).tobytes() == want.tobytes()
+
+    def test_same_bytes_without_a_blas_thread_setter(self, monkeypatch):
+        enc, X = self.batch()
+        threaded = neural.encode_batch(enc, X)
+        monkeypatch.setattr(neural, "_BLAS_THREADS", None)
+        assert neural.encode_batch(enc, X).tobytes() == threaded.tobytes()
+
+    @pytest.mark.skipif(not TWO_THREADS, reason="needs a BLAS thread setter and two usable CPUs")
+    @pytest.mark.parametrize("n,threads", [(3 * BLOCK + 511, 1), (4 * BLOCK, 2), (9 * BLOCK - 1, 2)])
+    def test_threads_used(self, n, threads):
+        enc, X = self.batch(n)
+        seen = {}
+        neural._for_each_block(enc, X, lambda rows, z: seen.setdefault(threading.get_ident(), []).append(rows))
+        assert len(seen) == threads
+        # the worker takes the first half of the blocks
+        by_first_row = sorted(seen.values(), key=lambda rows: rows[0].start)
+        n_blocks = n // BLOCK
+        assert [len(rows) for rows in by_first_row] == (
+            [n_blocks] if threads == 1 else [n_blocks // 2, n_blocks - n_blocks // 2]
+        )
+
+    def test_overlapping_call_runs_on_one_thread(self):
+        enc, X = self.batch()
+        idents = set()
+        assert neural._TWO_THREADS.acquire(timeout=60)
+        try:
+            neural._for_each_block(enc, X, lambda rows, z: idents.add(threading.get_ident()))
+        finally:
+            neural._TWO_THREADS.release()
+        assert idents == {threading.get_ident()}
+
+    def test_overlapping_calls_from_more_threads_than_cores(self):
+        enc, X = self.batch(9 * BLOCK - 1)
+        want = neural.encode_batch(enc, X).tobytes()
+        before = neural._BLAS_THREADS[0]() if neural._BLAS_THREADS else None
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(neural.encode_batch(enc, X))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [z.tobytes() for z in results] == [want] * 4
+        assert (neural._BLAS_THREADS[0]() if neural._BLAS_THREADS else None) == before
+        assert not neural._TWO_THREADS.locked()
+
+    @needs_blas_setter
+    @pytest.mark.parametrize("failing_block", ["first", "last"])
+    def test_blas_thread_count_restored(self, failing_block):
+        get_threads, set_threads = neural._BLAS_THREADS
+        enc, X = self.batch()
+        counts = []
+
+        def fail(rows, z):
+            # the first block is the worker's, the last the caller's
+            if (rows.start == 0) if failing_block == "first" else (rows.stop == len(X)):
+                raise ValueError("from fn")
+
+        original = get_threads()
+        set_threads(2)  # a count the two-thread region changes
+        try:
+            before = get_threads()
+            neural._for_each_block(enc, X, lambda rows, z: counts.append(get_threads()))
+            assert get_threads() == before
+            with pytest.raises(ValueError, match="from fn"):
+                neural._for_each_block(enc, X, fail)
+            assert get_threads() == before
+        finally:
+            set_threads(original)
+        if TWO_THREADS:
+            assert set(counts) == {1}
+        assert not neural._TWO_THREADS.locked()
+
+    def test_callers_errstate_holds_in_the_worker(self):
+        enc, X = self.batch()
+        X *= 1e10
+        for layer in enc.layers:
+            layer.W[:] = 1e300
+            layer.U[:] = -1e300
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            neural.encode_batch(enc, X)
 
 
 # exact zeros, values whose pre-activations underflow a gate to 0, and plain ones

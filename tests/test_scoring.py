@@ -65,7 +65,9 @@ class TestScoreWindows:
         after = scoring.score_windows(model, windows)
         assert np.all(after <= before + 1e-15)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 300, 3 * BLOCK + 1])
+    @pytest.mark.parametrize(
+        "n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 300, 3 * BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1, 9 * BLOCK - 1]
+    )
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_bitwise_equal_to_one_search_over_every_latent(self, n, layers):
         rng = np.random.default_rng(n + layers)

@@ -73,6 +73,11 @@ class TestLoadCsv:
             tsdata.load_csv(p, label_column="label")
         assert exc.value.row == 1 and exc.value.col == "label"
 
+    def test_code_built_series_counts_label_rows_from_1(self):
+        with pytest.raises(ParseError, match="^label at row 1 is not 0/1$") as exc:
+            tsdata.TimeSeries(values=np.zeros(3), labels=[2, 0, 0])
+        assert exc.value.row == 1 and exc.value.col is None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             tsdata.load_csv(tmp_path / "nope.csv")
@@ -123,20 +128,32 @@ class TestLoadCsv:
 
     @given(
         st.lists(
-            st.tuples(st.floats(), st.integers(-(2**63), 2**63 - 1), st.floats(width=32)), min_size=0, max_size=20
+            st.tuples(
+                st.floats(), st.integers(-(2**63), 2**63 - 1), st.floats(width=32), st.integers(0, 2**64 - 1)
+            ),
+            min_size=0,
+            max_size=20,
         )
     )
-    @example([(-0.0, 0, 5e-324), (-5e-324, -1, 1.7976931348623157e308), (-1.7976931348623157e308, 7, math.nan)])
-    @example([(math.inf, 2**63 - 1, -math.inf), (math.nan, -(2**63), 0.0)])
+    @example([(-0.0, 0, 5e-324, 0), (-5e-324, -1, 1.7976931348623157e308, 2**64 - 1), (-1.7976931348623157e308, 7, math.nan, 2**63)])
+    @example([(math.inf, 2**63 - 1, -math.inf, 1), (math.nan, -(2**63), 0.0, 2**64 - 1)])
+    @example([(1e-320, 5, 0.1, 3), (0.30000000000000004, -5, -0.0, 2**64 - 2), (1.2345678901234567e-300, 1, 2.0 / 3.0, 0)])
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_csv_bytes_equal_csv_writer_with_17_digit_floats(self, tmp_path, rows):
-        header = ["x", "n", "quoted, name"]
+        header = ["x", "n", "quoted, name", "delta"]
         floats = np.array([r[0] for r in rows], dtype=np.float64)
         ints = np.array([r[1] for r in rows], dtype=np.int64)
         more = np.array([r[2] for r in rows], dtype=np.float64)
-        tsdata.write_csv(tmp_path / "got.csv", header, [floats, ints, more])
-        csv_writer_write(tmp_path / "want.csv", header, zip(floats.tolist(), ints.tolist(), more.tolist()))
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        # eval --out's delta column: Python ints up to 2**64 - 1 in an object array
+        big = np.array([r[3] for r in rows], dtype=object)
+        tsdata.write_csv(tmp_path / "got.csv", header, [floats, ints, more, big])
+        got = (tmp_path / "got.csv").read_bytes()
+        cells = list(zip(floats.tolist(), ints.tolist(), more.tolist(), big.tolist()))
+        csv_writer_write(tmp_path / "want.csv", header, cells)
+        assert got == (tmp_path / "want.csv").read_bytes()
+        # the same bytes as formatting one row at a time
+        per_row = "".join("%.17g,%d,%.17g,%d\r\n" % row for row in cells)
+        assert got == ('x,n,"quoted, name",delta\r\n' + per_row).encode()
 
     @given(
         n_cols=st.integers(1, 3),
