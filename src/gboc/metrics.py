@@ -44,11 +44,21 @@ class EvalScores:
     per_delta: tuple[DeltaRow, ...]
 
 
+def _binary(name: str, values: np.ndarray) -> np.ndarray:
+    """values as int64, checked to hold only 0 and 1."""
+    values = np.asarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise BadParams(f"{name} must be 0 or 1")
+    return values.astype(np.int64, copy=False)
+
+
 def _check_series(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _binary("labels", labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise BadParams("scores and labels must be 1-D and the same length")
+    if not np.all(np.isfinite(scores)):
+        raise BadParams("scores must be finite")
     return scores, labels
 
 
@@ -156,7 +166,7 @@ def affiliation_f1(
     kernels underflow to zero on both sides).
     """
     denom = _kernel_denominator(sigma)
-    pred_ts = np.where(np.asarray(pred_flags, dtype=np.int64) == 1)[0].astype(np.float64)
+    pred_ts = np.flatnonzero(_binary("flags", pred_flags)).astype(np.float64)
     if pred_ts.size == 0 or not intervals:
         return float("nan")
     iv = np.asarray(intervals, dtype=np.float64)
@@ -184,6 +194,8 @@ def evaluate(
     """All three metrics plus the per-delta breakdown, as the eval command
     reports them; sigma is the affiliation kernel bandwidth."""
     _kernel_denominator(sigma)
+    if np.shape(flags) != np.shape(labels):
+        raise BadParams("flags and labels must be the same length")
     areas = _delta_areas(point_scores, labels, delta_set)
     if np.all(labels):
         raise BadParams("need at least one anomaly and one normal point")

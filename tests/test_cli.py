@@ -295,6 +295,13 @@ class TestErrors:
         assert rc == 1
         assert "label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["t,flag,label", "t,point_score,label"])
+    def test_eval_report_without_a_score_or_flag_column(self, tmp_path, capsys, header):
+        report = tmp_path / "report.csv"
+        report.write_text(f"{header}\n0,0,1\n1,1,0\n")
+        want = "error: report must have point_score and flag columns"
+        assert _one_error_line(["eval", "--report", str(report)], capsys) == want
+
     @pytest.mark.parametrize(
         "bad_row, column",
         [
@@ -580,6 +587,15 @@ class TestErrors:
         argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
                 "--model", str(tmp_path / "m.gboc"), "--epochs", "2", "--quiet", "--lr", "1e300"]
         assert _one_error_line(argv, capsys) == "error: epoch 1: non-finite loss or gradient; aborting epoch"
+        assert not (tmp_path / "m.gboc").exists()
+
+    def test_latents_diverging_at_a_ball_build_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["synth", "--kind", "noise", "--length", "200", "--seed", "3", "--out", str(tmp_path)]) == 0
+        argv = ["train", "--train-csv", str(tmp_path / "train.csv"), "--label-col", "label",
+                "--model", str(tmp_path / "m.gboc"), "--epochs", "3", "--rebuild-every", "1", "--lr", "1e308",
+                "--batch", "1000", "--quiet"]
+        want = "error: non-finite latents at the epoch-2 ball build; training diverged"
+        assert _one_error_line(argv, capsys) == want
         assert not (tmp_path / "m.gboc").exists()
 
     def test_train_on_a_series_whose_mean_overflows_is_one_error_line(self, tmp_path, capsys):

@@ -97,6 +97,18 @@ class TestTrySplit:
         result = granular.try_split(b, pts, s_min=3, require_child_support=False)
         assert result is not None
 
+    def test_split_rejected_by_the_density_rule(self):
+        pts = np.array([[-1.69266798, 0.53875461], [-4.70336738, -4.99914809], [7.79667101, 3.80096304],
+                        [0, 0], [0, 0], [0, 0]])
+        b = granular.GranularBall.from_members(pts, np.arange(6))
+        # the 2-means try_split runs, replayed from the same seed
+        _, assign = granular.kmeans(pts, 2, np.random.default_rng(1299))
+        children = [granular.GranularBall.from_members(pts, np.flatnonzero(assign == c)) for c in (0, 1)]
+        assert sorted(c.size for c in children) == [2, 4]  # both children have s_min members
+        assert granular.weighted_child_dm(*children) == pytest.approx(3.219, abs=1e-3)
+        assert granular.dm(b) == pytest.approx(3.045, abs=1e-3)
+        assert granular.try_split(b, pts, s_min=2, rng=np.random.default_rng(1299)) is None
+
     def test_identical_points_kept(self):
         b, pts = ball_of(np.zeros(9))
         assert granular.try_split(b, pts, s_min=8) is None

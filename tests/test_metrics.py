@@ -46,6 +46,32 @@ class TestTolerantPr:
             metrics.vus_pr(np.zeros(5), np.zeros(5, dtype=np.int64), delta_set=(0,))
 
 
+class TestSeriesChecks:
+    """Scores must be finite and labels 0 or 1, for every curve metric."""
+
+    LABELS = np.array([0, 1, 0, 0, 1, 0], dtype=np.int64)
+
+    @pytest.mark.parametrize("metric", [metrics.vus_pr, metrics.vus_roc])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, metric, bad):
+        scores = np.array([bad, 1, 0, 0, 1, 0], dtype=np.float64)
+        with pytest.raises(BadParams, match="^scores must be finite"):
+            metric(scores, self.LABELS)
+
+    @pytest.mark.parametrize("metric", [metrics.vus_pr, metrics.vus_roc])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_label_outside_zero_one_rejected(self, metric, bad):
+        labels = self.LABELS.astype(np.float64)
+        labels[1] = bad
+        with pytest.raises(BadParams, match="^labels must be 0 or 1"):
+            metric(self.LABELS.astype(np.float64), labels)
+
+    def test_zero_one_labels_of_any_dtype_accepted(self):
+        scores = self.LABELS.astype(np.float64)
+        for labels in (self.LABELS, self.LABELS.astype(bool), self.LABELS.astype(np.float64), self.LABELS.tolist()):
+            assert metrics.vus_pr(scores, labels) == 1.0
+
+
 class TestVusPr:
     def test_perfect_separation(self):
         scores, labels = perfect_fixture()
@@ -289,6 +315,25 @@ class TestEvaluate:
         labels = np.array([0, 1, 0, 0], dtype=np.int64)
         with pytest.raises(BadParams, match="sigma"):
             metrics.evaluate(np.linspace(0.0, 1.0, 4), labels, labels, sigma=sigma)
+
+    @pytest.mark.parametrize("flag", [2, -1, 0.5, np.nan])
+    def test_flag_outside_zero_one_rejected(self, flag):
+        labels = np.array([0, 1, 0, 0, 1, 0], dtype=np.int64)
+        flags = np.array([0, 1, 0, 0, flag, 0])
+        with pytest.raises(BadParams, match="^flags must be 0 or 1"):
+            metrics.evaluate(np.linspace(0.0, 1.0, 6), flags, labels, sigma=1.0)
+        with pytest.raises(BadParams, match="^flags must be 0 or 1"):
+            metrics.affiliation_f1(flags, metrics.label_intervals(labels), 1.0)
+
+    def test_flags_of_another_length_rejected(self):
+        labels = np.array([0, 1, 0, 0, 1, 0], dtype=np.int64)
+        with pytest.raises(BadParams, match="^flags and labels must be the same length"):
+            metrics.evaluate(np.linspace(0.0, 1.0, 6), labels[:5], labels, sigma=1.0)
+
+    def test_label_outside_zero_one_rejected(self):
+        labels = np.array([0, 2, 0, 0, 1, 0])
+        with pytest.raises(BadParams, match="^labels must be 0 or 1"):
+            metrics.evaluate(np.linspace(0.0, 1.0, 6), np.zeros(6), labels, sigma=1.0)
 
     def test_no_anomalies_reported_before_degenerate_labels(self):
         scores = np.linspace(0.0, 1.0, 6)

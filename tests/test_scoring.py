@@ -1,3 +1,6 @@
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from gboc import granular, neural, scoring, trainer, tsdata
 from gboc.errors import BadParams, ModelMismatch
 from oracles import brute_force_windows_to_points
+from test_neural import TWO_THREADS
 
 BLOCK = neural.ENCODE_BLOCK
+LAYERS = ("cli", "tsdata", "neural", "granular", "trainer", "scoring", "metrics", "model_io")
 
 
 def make_model(seed=0, window=3, d=1, hidden=4, layers=1, centers=None) -> trainer.GbocModel:
@@ -194,3 +199,43 @@ class TestDetect:
         rep = scoring.detect(model, ts, threshold_scores=val_scores)
         assert rep.threshold == pytest.approx(1e6)
         assert rep.flags.sum() == 0
+
+    @pytest.mark.skipif(not TWO_THREADS, reason="needs a BLAS thread setter and two usable CPUs")
+    def test_two_thread_detect_calls_public_functions_from_the_calling_thread_only(self, monkeypatch):
+        # a span tracer keeps one stack per process, so the encoder's worker
+        # thread may call only private functions
+        model = make_model(seed=14)
+        ts = tsdata.TimeSeries(values=np.random.default_rng(15).normal(size=(5 * BLOCK + 77 + 2, 1)))
+        want = scoring.detect(model, ts)
+        calls, encoder_threads = [], set()
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {}
+        for layer in LAYERS:
+            module = sys.modules[f"gboc.{layer}"]
+            for attr, obj in vars(module).items():
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not attr.startswith("_"):
+                    wrappers[id(obj)] = recorded(f"{layer}.{attr}", obj)
+        for name, module in list(sys.modules.items()):
+            if name == "gboc" or name.startswith("gboc."):
+                for attr, obj in list(vars(module).items()):
+                    if id(obj) in wrappers:
+                        monkeypatch.setattr(module, attr, wrappers[id(obj)])
+        forward = neural._forward_encoder
+
+        def forward_on_a_thread(*args):
+            encoder_threads.add(threading.get_ident())
+            return forward(*args)
+
+        monkeypatch.setattr(neural, "_forward_encoder", forward_on_a_thread)
+        got = scoring.detect(model, ts)
+        assert len(encoder_threads) == 2  # the series took the two-thread path
+        assert "scoring.detect" in [name for name, _ in calls]
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert got.point_scores.tobytes() == want.point_scores.tobytes()
+        assert got.flags.tobytes() == want.flags.tobytes() and got.threshold == want.threshold

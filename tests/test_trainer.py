@@ -213,6 +213,15 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
             trainer.train(ts, tiny_config(lr=1e200, epochs=4))
 
+    def test_diverged_latents_at_a_ball_build_raise_nonfinite_loss(self):
+        # one batch an epoch, so epoch 1's single Adam step sends every
+        # weight to about 1e308 and epoch 2's ball build sees infinite latents
+        train_ts, _ = tsdata.synth_scenario("noise", 200, 3)
+        cfg = trainer.TrainConfig(epochs=3, rebuild_every=1, lr=1e308, batch_size=1000)
+        msg = "^non-finite latents at the epoch-2 ball build; training diverged$"
+        with pytest.raises(NonFiniteLoss, match=msg):
+            trainer.train(train_ts, cfg)
+
     def test_model_invariants(self):
         ts = tiny_series()
         cfg = tiny_config()
